@@ -221,24 +221,16 @@ def cmd_plot_data(results, group_by, max_q, out_path) -> None:
         for column in ("q", "timeout", "nd", "avg_latency_s", "total_power_w"):
             if rows and column not in rows[0]:
                 raise ValueError(f"results file lacks required column '{column}'")
-        agg: dict[tuple, list[float]] = {}
-        for row in rows:
-            if row.get("error"):
-                continue
-            if max_q is not None and float(row["q"]) > max_q:
-                continue
-            key = (float(row["q"]), float(row["timeout"]), row["nd"])
-            acc = agg.setdefault(key, [0.0, 0.0, 0])
-            acc[0] += float(row["total_power_w"])
-            acc[1] += float(row["avg_latency_s"])
-            acc[2] += 1
+        if max_q is not None:
+            rows = [row for row in rows if float(row["q"]) <= max_q]
+        agg = validation_mod.aggregate_designs(rows)
         out = sys.stdout if out_path == "-" else open(out_path, "w", newline="")
         try:
             writer = csv.writer(out)
             writer.writerow(["ap_total_w", "avg_latency_s", "label"])
-            for (q, timeout, nd), (ap, al, count) in sorted(agg.items()):
+            for (q, timeout, nd), (al, ap) in sorted(agg.items()):
                 label = f"q={q:g}" if group_by == "q" else f"TO={timeout:g}"
-                writer.writerow([repr(ap / count), repr(al / count), label])
+                writer.writerow([repr(ap), repr(al), label])
         finally:
             if out is not sys.stdout:
                 out.close()

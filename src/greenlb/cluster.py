@@ -44,12 +44,6 @@ class Request:
     service_start: float | None = None
     completion: float | None = None
 
-    @property
-    def latency(self) -> float:
-        if self.completion is None:
-            raise ValueError(f"request {self.index} has not completed")
-        return self.completion - self.arrival_time
-
 
 @dataclass(slots=True)
 class PowerModel:
@@ -89,8 +83,6 @@ class Server:
     queue: deque = field(default_factory=deque)
     in_service: Request | None = None
     pending_arrival_during_suspend: bool = False
-    state_entered_at: float = 0.0
-    idle_since: float | None = None
     timeout_token: int = 0
     timeline: list = field(default_factory=list)  # [(enter_time, PowerState)]
 
@@ -123,9 +115,6 @@ class Cluster:
             Server(i, initial_state, timeline=[(0.0, initial_state)])
             for i in range(num_servers)
         ]
-        if initial_state is PowerState.ON:
-            for server in self.servers:
-                server.idle_since = 0.0
 
     @property
     def num_servers(self) -> int:
@@ -149,7 +138,6 @@ class Cluster:
         if state is PowerState.ON:
             if server.in_service is None:
                 server.timeout_token += 1  # cancel the armed idle timeout
-                server.idle_since = None
                 return [self._start_service(server, req, now)]
             server.queue.append(req)
             return []
@@ -170,7 +158,6 @@ class Cluster:
         server.in_service = None
         if server.queue:
             return [self._start_service(server, server.queue.popleft(), now)]
-        server.idle_since = now
         return self._arm_timeout(server, now)
 
     def on_timeout(self, server_id: int, now: float, token: int) -> list[Scheduled]:
@@ -180,7 +167,6 @@ class Cluster:
             return []
         if server.power_state is not PowerState.ON or server.in_service is not None or server.queue:
             raise ClusterInvariantError(f"server {server_id}: timeout fired while not idle-on")
-        server.idle_since = None
         self._set_state(server, PowerState.SUSPEND, now)
         return [Scheduled(EventKind.SUSPEND_DONE, server.id, now + self.power.t_suspend)]
 
@@ -208,14 +194,9 @@ class Cluster:
         self._set_state(server, PowerState.ON, now)
         if server.queue:
             return [self._start_service(server, server.queue.popleft(), now)]
-        server.idle_since = now
         return self._arm_timeout(server, now)
 
     # -- queries ---------------------------------------------------------
-
-    def power_of(self, server_id: int) -> float:
-        """Instantaneous power draw of one server, in Watts."""
-        return self.power.power_in(self.servers[server_id].power_state)
 
     def timelines(self) -> list[list[tuple[float, PowerState]]]:
         """Per-server state history as (enter_time, state) segments from t=0."""
@@ -241,5 +222,4 @@ class Cluster:
 
     def _set_state(self, server: Server, state: PowerState, now: float) -> None:
         server.power_state = state
-        server.state_entered_at = now
         server.timeline.append((now, state))

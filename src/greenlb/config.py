@@ -135,6 +135,37 @@ def _state_value(value, where: str) -> PowerState:
         ) from None
 
 
+def _power_model(doc: dict) -> PowerModel:
+    """The optional ``power`` section as a power model; absent keys take their defaults."""
+    raw = _section(
+        doc,
+        "power",
+        allowed={"on_w", "suspend_w", "wakeup_w", "sleep_w",
+                 "time_suspend_s", "time_wakeup_s", "timeout_s"},
+    )
+    return PowerModel(
+        p_on=_number(raw, "on_w", "power", 200.0),
+        p_suspend=_number(raw, "suspend_w", "power", 200.0),
+        p_wakeup=_number(raw, "wakeup_w", "power", 200.0),
+        p_sleep=_number(raw, "sleep_w", "power", 14.0),
+        t_suspend=_number(raw, "time_suspend_s", "power", 10.0),
+        t_wakeup=_number(raw, "time_wakeup_s", "power", 10.0),
+        timeout=_timeout_value(raw.get("timeout_s", 10.0), "power.timeout_s"),
+    )
+
+
+def _design_params(raw, where: str) -> dict[str, float]:
+    """A mapping of design-parameter name to number, found at ``where``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"'{where}' must be a mapping of name to number")
+    params = {}
+    for key, value in raw.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"'{where}.{key}' must be a number")
+        params[str(key)] = float(value)
+    return params
+
+
 def load_config(path: str | Path) -> LoadedConfig:
     """Load and validate a run config; study section is optional."""
     path = Path(path)
@@ -172,21 +203,7 @@ def load_config(path: str | Path) -> LoadedConfig:
         max_virtual_time = _number(stop_raw, "max_virtual_time", "scenario.stop", 0.0)
     stop = StopCriterion(max_requests=max_requests, max_virtual_time=max_virtual_time)
 
-    power_raw = _section(
-        doc,
-        "power",
-        allowed={"on_w", "suspend_w", "wakeup_w", "sleep_w",
-                 "time_suspend_s", "time_wakeup_s", "timeout_s"},
-    )
-    power = PowerModel(
-        p_on=_number(power_raw, "on_w", "power", 200.0),
-        p_suspend=_number(power_raw, "suspend_w", "power", 200.0),
-        p_wakeup=_number(power_raw, "wakeup_w", "power", 200.0),
-        p_sleep=_number(power_raw, "sleep_w", "power", 14.0),
-        t_suspend=_number(power_raw, "time_suspend_s", "power", 10.0),
-        t_wakeup=_number(power_raw, "time_wakeup_s", "power", 10.0),
-        timeout=_timeout_value(power_raw.get("timeout_s", 10.0), "power.timeout_s"),
-    )
+    power = _power_model(doc)
 
     policy_raw = _section(doc, "policy", allowed={"expression", "file", "nd", "dspace"})
     if ("expression" in policy_raw) == ("file" in policy_raw):
@@ -206,14 +223,7 @@ def load_config(path: str | Path) -> LoadedConfig:
     except PolicyError as exc:
         raise ConfigError(f"'policy': {exc}") from None
     nd = _nd_value(policy_raw.get("nd", "random"), "policy.nd")
-    dspace_raw = policy_raw.get("dspace", {})
-    if not isinstance(dspace_raw, dict):
-        raise ConfigError("'policy.dspace' must be a mapping of name to number")
-    design_params = {}
-    for key, value in dspace_raw.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"'policy.dspace.{key}' must be a number")
-        design_params[str(key)] = float(value)
+    design_params = _design_params(policy_raw.get("dspace", {}), "policy.dspace")
 
     initial_state = scenario.get("initial_state", "sleep")
     state = _state_value(initial_state, "scenario.initial_state")
@@ -293,30 +303,9 @@ def load_state_file(path: str | Path) -> tuple[list[ServerSnapshot], PowerModel,
     if not isinstance(servers_raw, list) or not servers_raw:
         raise ConfigError("'servers' must be a non-empty list")
 
-    power_raw = _section(
-        doc,
-        "power",
-        allowed={"on_w", "suspend_w", "wakeup_w", "sleep_w",
-                 "time_suspend_s", "time_wakeup_s", "timeout_s"},
-    )
-    power = PowerModel(
-        p_on=_number(power_raw, "on_w", "power", 200.0),
-        p_suspend=_number(power_raw, "suspend_w", "power", 200.0),
-        p_wakeup=_number(power_raw, "wakeup_w", "power", 200.0),
-        p_sleep=_number(power_raw, "sleep_w", "power", 14.0),
-        t_suspend=_number(power_raw, "time_suspend_s", "power", 10.0),
-        t_wakeup=_number(power_raw, "time_wakeup_s", "power", 10.0),
-        timeout=_timeout_value(power_raw.get("timeout_s", 10.0), "power.timeout_s"),
-    )
+    power = _power_model(doc)
 
-    design_raw = doc.get("design") or {}
-    if not isinstance(design_raw, dict):
-        raise ConfigError("'design' must be a mapping of name to number")
-    design_params = {}
-    for key, value in design_raw.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"'design.{key}' must be a number")
-        design_params[str(key)] = float(value)
+    design_params = _design_params(doc.get("design") or {}, "design")
 
     snapshots = []
     n = len(servers_raw)

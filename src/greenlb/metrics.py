@@ -54,17 +54,21 @@ class InsufficientDataError(MetricsError):
     """Too few samples for the requested number of batches."""
 
 
+def _latencies(requests: Sequence[Request], warmup: float) -> list[float]:
+    """Latencies of the completed requests arriving at or after the warm-up cut."""
+    return [
+        req.completion - req.arrival_time
+        for req in requests
+        if req.arrival_time >= warmup and req.completion is not None
+    ]
+
+
 def compute_al(requests: Sequence[Request], warmup: float) -> float:
     """Average latency over requests arriving at or after the warm-up cut."""
-    total = 0.0
-    count = 0
-    for req in requests:
-        if req.arrival_time >= warmup and req.completion is not None:
-            total += req.completion - req.arrival_time
-            count += 1
-    if count == 0:
+    latencies = _latencies(requests, warmup)
+    if not latencies:
         raise EmptySampleError("no completed requests arrived after the warm-up cut")
-    return total / count
+    return float(np.mean(latencies))
 
 
 def state_durations(
@@ -143,15 +147,10 @@ def _power_window_means(
 ) -> np.ndarray:
     """Cluster power averaged over each of ``num_batches`` equal time windows."""
     edges = np.linspace(warmup, horizon, num_batches + 1)
-    means = np.empty(num_batches)
-    for b in range(num_batches):
-        lo, hi = float(edges[b]), float(edges[b + 1])
-        energy = 0.0
-        for timeline in timelines:
-            for state, duration in state_durations(timeline, lo, hi).items():
-                energy += duration * power.power_in(state)
-        means[b] = energy / (hi - lo)
-    return means
+    return np.array([
+        compute_ap(timelines, power, float(edges[b]), float(edges[b + 1])).total_w
+        for b in range(num_batches)
+    ])
 
 
 @dataclass(slots=True)
@@ -208,11 +207,7 @@ def summarize(record) -> RunResult:
             "lower the warmup or extend the run"
         )
 
-    latencies = [
-        req.completion - req.arrival_time
-        for req in record.requests
-        if req.arrival_time >= warmup and req.completion is not None
-    ]
+    latencies = _latencies(record.requests, warmup)
     if latencies:
         avg_latency = float(np.mean(latencies))
         try:

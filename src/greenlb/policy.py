@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "PolicyError",
@@ -31,29 +32,13 @@ __all__ = [
     "NdResolution",
     "ServerSnapshot",
     "PolicyExpr",
-    "Id",
-    "NumServers",
-    "QueueSize",
-    "StateOn",
-    "StateSleep",
-    "StateSuspend",
-    "StateWakeup",
-    "PowerOn",
-    "PowerSleep",
-    "PowerSuspend",
-    "PowerWakeup",
-    "TimeWakeup",
-    "TimeSuspend",
-    "TimeOutTime",
+    "Leaf",
     "IntLit",
-    "Random",
     "DSpace",
     "Neg",
-    "Add",
-    "Sub",
-    "Mul",
-    "Div",
-    "Mod",
+    "BinOp",
+    "LEAVES",
+    "OPERATORS",
     "parse_policy",
     "pretty_print",
     "format_ast",
@@ -139,6 +124,9 @@ class ServerSnapshot:
 
 # --- AST ---------------------------------------------------------------
 
+Evaluator = Callable[[ServerSnapshot, Any], float]
+
+
 class PolicyExpr:
     """Base class for policy AST nodes. Nodes are immutable and comparable."""
 
@@ -146,83 +134,15 @@ class PolicyExpr:
 
 
 @dataclass(frozen=True, slots=True)
-class Id(PolicyExpr):
-    pass
+class Leaf(PolicyExpr):
+    """A vocabulary leaf; ``name`` is its canonical policy text, a key of LEAVES."""
 
-
-@dataclass(frozen=True, slots=True)
-class NumServers(PolicyExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class QueueSize(PolicyExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class StateOn(PolicyExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class StateSleep(PolicyExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class StateSuspend(PolicyExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class StateWakeup(PolicyExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class PowerOn(PolicyExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class PowerSleep(PolicyExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class PowerSuspend(PolicyExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class PowerWakeup(PolicyExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class TimeWakeup(PolicyExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class TimeSuspend(PolicyExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class TimeOutTime(PolicyExpr):
-    pass
+    name: str
 
 
 @dataclass(frozen=True, slots=True)
 class IntLit(PolicyExpr):
     value: int
-
-
-@dataclass(frozen=True, slots=True)
-class Random(PolicyExpr):
-    pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,53 +160,70 @@ class Neg(PolicyExpr):
 
 
 @dataclass(frozen=True, slots=True)
-class Add(PolicyExpr):
+class BinOp(PolicyExpr):
+    """A binary operation; ``op`` is its policy text, a key of OPERATORS."""
+
+    op: str
     left: PolicyExpr
     right: PolicyExpr
 
 
-@dataclass(frozen=True, slots=True)
-class Sub(PolicyExpr):
-    left: PolicyExpr
-    right: PolicyExpr
+class LeafSpec(NamedTuple):
+    label: str  # node name in format_ast output
+    value: Evaluator  # also the compiled form of the leaf
 
 
-@dataclass(frozen=True, slots=True)
-class Mul(PolicyExpr):
-    left: PolicyExpr
-    right: PolicyExpr
+def _state_is(state: PowerState) -> Evaluator:
+    return lambda snap, rng: 1.0 if snap.power_state is state else 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class Div(PolicyExpr):
-    left: PolicyExpr
-    right: PolicyExpr
+# The policy vocabulary, keyed by canonical text.  The lambdas are the
+# compiled leaves themselves, so they read the snapshot directly.
+LEAVES: dict[str, LeafSpec] = {
+    "ID": LeafSpec("Id", lambda snap, rng: float(snap.id)),
+    "numServers": LeafSpec("NumServers", lambda snap, rng: float(snap.num_servers)),
+    "queueSize": LeafSpec("QueueSize", lambda snap, rng: float(snap.queue_size)),
+    "stateOn": LeafSpec("StateOn", _state_is(PowerState.ON)),
+    "stateSleep": LeafSpec("StateSleep", _state_is(PowerState.SLEEP)),
+    "stateSuspend": LeafSpec("StateSuspend", _state_is(PowerState.SUSPEND)),
+    "stateWakeup": LeafSpec("StateWakeup", _state_is(PowerState.WAKEUP)),
+    "powerOn": LeafSpec("PowerOn", lambda snap, rng: snap.power_on),
+    "powerSleep": LeafSpec("PowerSleep", lambda snap, rng: snap.power_sleep),
+    "powerSuspend": LeafSpec("PowerSuspend", lambda snap, rng: snap.power_suspend),
+    "powerWakeup": LeafSpec("PowerWakeup", lambda snap, rng: snap.power_wakeup),
+    "timeWakeup": LeafSpec("TimeWakeup", lambda snap, rng: snap.time_wakeup),
+    "timeSuspend": LeafSpec("TimeSuspend", lambda snap, rng: snap.time_suspend),
+    "timeOutTime": LeafSpec("TimeOutTime", lambda snap, rng: snap.timeout_time),
+    "random": LeafSpec("Random", lambda snap, rng: float(rng.random())),
+}
+
+_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4
 
 
-@dataclass(frozen=True, slots=True)
-class Mod(PolicyExpr):
-    left: PolicyExpr
-    right: PolicyExpr
+class OpSpec(NamedTuple):
+    label: str  # node name in format_ast output
+    prec: int
+    apply: Callable[[float, float], float]  # used by the interpreter only
 
 
-# The id leaf is accepted in both spellings; `ID` is the canonical one.
-_TERMINALS: dict[str, PolicyExpr] = {
-    "ID": Id(),
-    "id": Id(),
-    "numServers": NumServers(),
-    "queueSize": QueueSize(),
-    "stateOn": StateOn(),
-    "stateSleep": StateSleep(),
-    "stateSuspend": StateSuspend(),
-    "stateWakeup": StateWakeup(),
-    "powerOn": PowerOn(),
-    "powerSleep": PowerSleep(),
-    "powerSuspend": PowerSuspend(),
-    "powerWakeup": PowerWakeup(),
-    "timeWakeup": TimeWakeup(),
-    "timeSuspend": TimeSuspend(),
-    "timeOutTime": TimeOutTime(),
-    "random": Random(),
+def _div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise EvaluationError("division by zero")
+    return a / b
+
+
+def _mod(a: float, b: float) -> float:
+    if b == 0.0:
+        raise EvaluationError("mod by zero")
+    return math.fmod(a, b)  # remainder keeps the dividend's sign
+
+
+OPERATORS: dict[str, OpSpec] = {
+    "+": OpSpec("Add", _PREC_ADD, operator.add),
+    "-": OpSpec("Sub", _PREC_ADD, operator.sub),
+    "*": OpSpec("Mul", _PREC_MUL, operator.mul),
+    "/": OpSpec("Div", _PREC_MUL, _div),
+    "mod": OpSpec("Mod", _PREC_MUL, _mod),
 }
 
 
@@ -365,36 +302,22 @@ class _Parser:
             )
 
     def parse(self) -> PolicyExpr:
-        expr = self._additive()
+        expr = self._binary(_PREC_ADD)
         tok = self._peek()
         if tok.kind != "eof":
             raise PolicySyntaxError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
         return expr
 
-    def _additive(self) -> PolicyExpr:
-        expr = self._multiplicative()
-        while True:
-            tok = self._peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self._next()
-                right = self._multiplicative()
-                expr = Add(expr, right) if tok.text == "+" else Sub(expr, right)
-            else:
-                return expr
-
-    def _multiplicative(self) -> PolicyExpr:
-        expr = self._unary()
-        while True:
-            tok = self._peek()
-            if tok.kind == "op" and tok.text in "*/":
-                self._next()
-                right = self._unary()
-                expr = Mul(expr, right) if tok.text == "*" else Div(expr, right)
-            elif tok.kind == "ident" and tok.text == "mod":
-                self._next()
-                expr = Mod(expr, self._unary())
-            else:
-                return expr
+    def _binary(self, prec: int) -> PolicyExpr:
+        """Left-associative binary operators binding at ``prec`` or tighter."""
+        if prec == _PREC_UNARY:
+            return self._unary()
+        expr = self._binary(prec + 1)
+        # Operator texts cannot collide with int, string or eof tokens.
+        while (spec := OPERATORS.get(self._peek().text)) is not None and spec.prec == prec:
+            op = self._next().text
+            expr = BinOp(op, expr, self._binary(prec + 1))
+        return expr
 
     def _unary(self) -> PolicyExpr:
         tok = self._peek()
@@ -408,7 +331,7 @@ class _Parser:
         if tok.kind == "int":
             return IntLit(int(tok.text))
         if tok.kind == "op" and tok.text == "(":
-            expr = self._additive()
+            expr = self._binary(_PREC_ADD)
             self._expect_op(")")
             return expr
         if tok.kind == "ident":
@@ -426,12 +349,12 @@ class _Parser:
                     )
                 self._expect_op(")")
                 return DSpace(name)
-            leaf = _TERMINALS.get(tok.text)
-            if leaf is None:
+            name = "ID" if tok.text == "id" else tok.text  # both spellings are accepted
+            if name not in LEAVES:
                 raise UnknownIdentifierError(
                     f"unknown identifier {tok.text!r}", tok.line, tok.column
                 )
-            return leaf
+            return Leaf(name)
         if tok.kind == "eof":
             raise PolicySyntaxError("unexpected end of input", tok.line, tok.column)
         raise PolicySyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.column)
@@ -449,38 +372,9 @@ def parse_policy(text: str) -> PolicyExpr:
 
 # --- Pretty printing ---------------------------------------------------
 
-_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4
-
-_BIN_OPS: dict[type, tuple[str, int]] = {
-    Add: ("+", _PREC_ADD),
-    Sub: ("-", _PREC_ADD),
-    Mul: ("*", _PREC_MUL),
-    Div: ("/", _PREC_MUL),
-    Mod: ("mod", _PREC_MUL),
-}
-
-_LEAF_TEXT: dict[type, str] = {
-    Id: "ID",
-    NumServers: "numServers",
-    QueueSize: "queueSize",
-    StateOn: "stateOn",
-    StateSleep: "stateSleep",
-    StateSuspend: "stateSuspend",
-    StateWakeup: "stateWakeup",
-    PowerOn: "powerOn",
-    PowerSleep: "powerSleep",
-    PowerSuspend: "powerSuspend",
-    PowerWakeup: "powerWakeup",
-    TimeWakeup: "timeWakeup",
-    TimeSuspend: "timeSuspend",
-    TimeOutTime: "timeOutTime",
-    Random: "random",
-}
-
-
 def _precedence(expr: PolicyExpr) -> int:
-    if type(expr) in _BIN_OPS:
-        return _BIN_OPS[type(expr)][1]
+    if isinstance(expr, BinOp):
+        return OPERATORS[expr.op].prec
     if isinstance(expr, Neg):
         return _PREC_UNARY
     return _PREC_ATOM
@@ -491,9 +385,8 @@ def pretty_print(expr: PolicyExpr) -> str:
 
     ``parse_policy(pretty_print(e)) == e`` for every AST ``e``.
     """
-    t = type(expr)
-    if t in _LEAF_TEXT:
-        return _LEAF_TEXT[t]
+    if isinstance(expr, Leaf):
+        return expr.name
     if isinstance(expr, IntLit):
         return str(expr.value)
     if isinstance(expr, DSpace):
@@ -503,36 +396,33 @@ def pretty_print(expr: PolicyExpr) -> str:
         if _precedence(expr.operand) < _PREC_UNARY:
             inner = f"({inner})"
         return f"-{inner}"
-    op, prec = _BIN_OPS[t]
-    left, right = expr.left, expr.right  # type: ignore[attr-defined]
-    left_s = pretty_print(left)
-    if _precedence(left) < prec:
+    prec = _precedence(expr)
+    left_s = pretty_print(expr.left)  # type: ignore[attr-defined]
+    if _precedence(expr.left) < prec:  # type: ignore[attr-defined]
         left_s = f"({left_s})"
-    right_s = pretty_print(right)
+    right_s = pretty_print(expr.right)  # type: ignore[attr-defined]
     # left-associative: an equal-precedence right child needs parentheses
-    if _precedence(right) <= prec:
+    if _precedence(expr.right) <= prec:  # type: ignore[attr-defined]
         right_s = f"({right_s})"
-    return f"{left_s} {op} {right_s}"
+    return f"{left_s} {expr.op} {right_s}"  # type: ignore[attr-defined]
 
 
 def format_ast(expr: PolicyExpr, indent: int = 0) -> str:
     """Render an AST as an indented tree, one node per line."""
     pad = "  " * indent
-    t = type(expr)
+    if isinstance(expr, Leaf):
+        return f"{pad}{LEAVES[expr.name].label}"
     if isinstance(expr, IntLit):
         return f"{pad}IntLit {expr.value}"
     if isinstance(expr, DSpace):
         return f'{pad}DSpace "{expr.name}"'
     if isinstance(expr, Neg):
         return f"{pad}Neg\n{format_ast(expr.operand, indent + 1)}"
-    if t in _BIN_OPS:
-        left, right = expr.left, expr.right  # type: ignore[attr-defined]
-        return (
-            f"{pad}{t.__name__}\n"
-            f"{format_ast(left, indent + 1)}\n"
-            f"{format_ast(right, indent + 1)}"
-        )
-    return f"{pad}{t.__name__}"
+    return (
+        f"{pad}{OPERATORS[expr.op].label}\n"  # type: ignore[attr-defined]
+        f"{format_ast(expr.left, indent + 1)}\n"  # type: ignore[attr-defined]
+        f"{format_ast(expr.right, indent + 1)}"  # type: ignore[attr-defined]
+    )
 
 
 # --- Evaluation --------------------------------------------------------
@@ -545,68 +435,19 @@ def evaluate(expr: PolicyExpr, snap: ServerSnapshot, rng: Any) -> float:
     The snapshot is never mutated.
     """
     t = type(expr)
-    if t is QueueSize:
-        return float(snap.queue_size)
+    if t is Leaf:
+        return LEAVES[expr.name].value(snap, rng)  # type: ignore[attr-defined]
     if t is IntLit:
         return float(expr.value)  # type: ignore[attr-defined]
-    if t is StateOn:
-        return 1.0 if snap.power_state is PowerState.ON else 0.0
-    if t is StateSleep:
-        return 1.0 if snap.power_state is PowerState.SLEEP else 0.0
-    if t is StateSuspend:
-        return 1.0 if snap.power_state is PowerState.SUSPEND else 0.0
-    if t is StateWakeup:
-        return 1.0 if snap.power_state is PowerState.WAKEUP else 0.0
-    if t is Id:
-        return float(snap.id)
-    if t is NumServers:
-        return float(snap.num_servers)
-    if t is PowerOn:
-        return snap.power_on
-    if t is PowerSleep:
-        return snap.power_sleep
-    if t is PowerSuspend:
-        return snap.power_suspend
-    if t is PowerWakeup:
-        return snap.power_wakeup
-    if t is TimeWakeup:
-        return snap.time_wakeup
-    if t is TimeSuspend:
-        return snap.time_suspend
-    if t is TimeOutTime:
-        return snap.timeout_time
-    if t is Random:
-        return float(rng.random())
-    if t is DSpace:
-        name = expr.name  # type: ignore[attr-defined]
-        try:
-            return float(snap.design_params[name])
-        except KeyError:
-            raise UndefinedDesignParamError(
-                f"design parameter {name!r} is not defined for this run"
-            ) from None
+    if t is DSpace:  # a leaf whose value closure only the compiler builds
+        return compile_policy(expr)(snap, rng)
     if t is Neg:
         return -evaluate(expr.operand, snap, rng)  # type: ignore[attr-defined]
+    if t is not BinOp or expr.op not in OPERATORS:  # type: ignore[attr-defined]
+        raise TypeError(f"not a policy expression: {expr!r}")
     left = evaluate(expr.left, snap, rng)  # type: ignore[attr-defined]
     right = evaluate(expr.right, snap, rng)  # type: ignore[attr-defined]
-    if t is Add:
-        return left + right
-    if t is Sub:
-        return left - right
-    if t is Mul:
-        return left * right
-    if t is Div:
-        if right == 0.0:
-            raise EvaluationError("division by zero")
-        return left / right
-    if t is Mod:
-        if right == 0.0:
-            raise EvaluationError("mod by zero")
-        return math.fmod(left, right)  # remainder keeps the dividend's sign
-    raise TypeError(f"not a policy expression: {expr!r}")
-
-
-Evaluator = Callable[[ServerSnapshot, Any], float]
+    return OPERATORS[expr.op].apply(left, right)  # type: ignore[attr-defined]
 
 
 def compile_policy(expr: PolicyExpr) -> Evaluator:
@@ -614,39 +455,15 @@ def compile_policy(expr: PolicyExpr) -> Evaluator:
 
     Same semantics (and random-draw order) as :func:`evaluate`; used on the
     simulator's hot path where re-walking the tree per request would dominate.
+    Every node is one closure with its arithmetic inline: a shared helper
+    per node would add a call level to every evaluation.
     """
     t = type(expr)
+    if t is Leaf:
+        return LEAVES[expr.name].value  # type: ignore[attr-defined]
     if t is IntLit:
         value = float(expr.value)  # type: ignore[attr-defined]
         return lambda snap, rng: value
-    if t is QueueSize:
-        return lambda snap, rng: float(snap.queue_size)
-    if t in (StateOn, StateSleep, StateSuspend, StateWakeup):
-        state = {
-            StateOn: PowerState.ON,
-            StateSleep: PowerState.SLEEP,
-            StateSuspend: PowerState.SUSPEND,
-            StateWakeup: PowerState.WAKEUP,
-        }[t]
-        return lambda snap, rng: 1.0 if snap.power_state is state else 0.0
-    if t is Id:
-        return lambda snap, rng: float(snap.id)
-    if t is NumServers:
-        return lambda snap, rng: float(snap.num_servers)
-    if t in (PowerOn, PowerSleep, PowerSuspend, PowerWakeup,
-             TimeWakeup, TimeSuspend, TimeOutTime):
-        attr = {
-            PowerOn: "power_on",
-            PowerSleep: "power_sleep",
-            PowerSuspend: "power_suspend",
-            PowerWakeup: "power_wakeup",
-            TimeWakeup: "time_wakeup",
-            TimeSuspend: "time_suspend",
-            TimeOutTime: "timeout_time",
-        }[t]
-        return lambda snap, rng: getattr(snap, attr)
-    if t is Random:
-        return lambda snap, rng: float(rng.random())
     if t is DSpace:
         name = expr.name  # type: ignore[attr-defined]
 
@@ -662,15 +479,18 @@ def compile_policy(expr: PolicyExpr) -> Evaluator:
     if t is Neg:
         inner = compile_policy(expr.operand)  # type: ignore[attr-defined]
         return lambda snap, rng: -inner(snap, rng)
+    if t is not BinOp or expr.op not in OPERATORS:  # type: ignore[attr-defined]
+        raise TypeError(f"not a policy expression: {expr!r}")
     left = compile_policy(expr.left)  # type: ignore[attr-defined]
     right = compile_policy(expr.right)  # type: ignore[attr-defined]
-    if t is Add:
+    op = expr.op  # type: ignore[attr-defined]
+    if op == "+":
         return lambda snap, rng: left(snap, rng) + right(snap, rng)
-    if t is Sub:
+    if op == "-":
         return lambda snap, rng: left(snap, rng) - right(snap, rng)
-    if t is Mul:
+    if op == "*":
         return lambda snap, rng: left(snap, rng) * right(snap, rng)
-    if t is Div:
+    if op == "/":
 
         def div(snap: ServerSnapshot, rng: Any) -> float:
             a = left(snap, rng)
@@ -680,17 +500,15 @@ def compile_policy(expr: PolicyExpr) -> Evaluator:
             return a / b
 
         return div
-    if t is Mod:
 
-        def mod(snap: ServerSnapshot, rng: Any) -> float:
-            a = left(snap, rng)
-            b = right(snap, rng)
-            if b == 0.0:
-                raise EvaluationError("mod by zero")
-            return math.fmod(a, b)
+    def mod(snap: ServerSnapshot, rng: Any) -> float:
+        a = left(snap, rng)
+        b = right(snap, rng)
+        if b == 0.0:
+            raise EvaluationError("mod by zero")
+        return math.fmod(a, b)
 
-        return mod
-    raise TypeError(f"not a policy expression: {expr!r}")
+    return mod
 
 
 # --- Server selection --------------------------------------------------

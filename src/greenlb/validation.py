@@ -31,6 +31,7 @@ __all__ = [
     "replay_oracle",
     "DesignComparison",
     "ComparisonReport",
+    "aggregate_designs",
     "compare_tables",
 ]
 
@@ -241,8 +242,12 @@ class ComparisonReport:
         }
 
 
-def _aggregate(rows: Iterable[Mapping]) -> dict:
-    """Mean latency and total power per design, replications pooled."""
+def aggregate_designs(rows: Iterable[Mapping]) -> dict:
+    """Mean latency and total power per design, replications pooled.
+
+    Rows with an error are skipped.  Maps ``(q, timeout, nd)`` to
+    ``(mean avg_latency_s, mean total_power_w)``.
+    """
     sums: dict[tuple, list[float]] = {}
     for row in rows:
         if row.get("error"):
@@ -262,8 +267,8 @@ def compare_tables(rows_a: Iterable[Mapping], rows_b: Iterable[Mapping]) -> Comp
     total_power_w; replications of the same design are averaged first.
     Designs present in only one table are ignored.
     """
-    agg_a = _aggregate(rows_a)
-    agg_b = _aggregate(rows_b)
+    agg_a = aggregate_designs(rows_a)
+    agg_b = aggregate_designs(rows_b)
     common = sorted(set(agg_a) & set(agg_b))
     if not common:
         raise ValueError("the two tables share no designs")

@@ -142,13 +142,13 @@ class TestCompletionAndTimers:
 class TestPowerAndErrors:
     def test_power_per_state(self):
         c = make_cluster(initial=PowerState.ON)
-        assert c.power_of(0) == 200.0
+        assert c.power.power_in(c.servers[0].power_state) == 200.0
         c.servers[0].power_state = PowerState.SLEEP
-        assert c.power_of(0) == 14.0
+        assert c.power.power_in(c.servers[0].power_state) == 14.0
         c.servers[0].power_state = PowerState.SUSPEND
-        assert c.power_of(0) == 200.0
+        assert c.power.power_in(c.servers[0].power_state) == 200.0
         c.servers[0].power_state = PowerState.WAKEUP
-        assert c.power_of(0) == 200.0
+        assert c.power.power_in(c.servers[0].power_state) == 200.0
 
     def test_completion_while_idle_is_a_logic_error(self):
         c = make_cluster(initial=PowerState.ON)

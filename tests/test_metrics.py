@@ -164,6 +164,11 @@ class TestSummarize:
                      for r in record.requests if r.arrival_time >= warmup]
         assert result.avg_latency_s == pytest.approx(np.mean(latencies))
 
+    def test_compute_al_equals_summarized_latency(self):
+        record = self.run_record()
+        assert compute_al(record.requests, record.config.warmup) == \
+            summarize(record).avg_latency_s
+
     def test_zero_arrival_run_reports_nan_latency(self):
         record = self.run_record(stop=StopCriterion(max_requests=0, max_virtual_time=200.0),
                                  warmup=50.0)

@@ -6,21 +6,17 @@ import numpy as np
 import pytest
 
 from greenlb.policy import (
-    Add,
+    LEAVES,
+    BinOp,
     DSpace,
     EvaluationError,
     IntLit,
-    Mod,
-    Mul,
+    Leaf,
     NdResolution,
     Neg,
     PolicySyntaxError,
     PowerState,
-    QueueSize,
-    Random,
     ServerSnapshot,
-    StateOn,
-    Sub,
     UndefinedDesignParamError,
     UnknownIdentifierError,
     compile_policy,
@@ -49,9 +45,10 @@ class ScriptedRng:
 class TestParse:
     def test_shortest_queue_with_threshold(self):
         ast = parse_policy('-queueSize - dspace("q") * (1 - stateOn)')
-        assert ast == Sub(
-            Neg(QueueSize()),
-            Mul(DSpace("q"), Sub(IntLit(1), StateOn())),
+        assert ast == BinOp(
+            "-",
+            Neg(Leaf("queueSize")),
+            BinOp("*", DSpace("q"), BinOp("-", IntLit(1), Leaf("stateOn"))),
         )
 
     def test_zero_literal(self):
@@ -59,28 +56,28 @@ class TestParse:
 
     def test_precedence(self):
         ast = parse_policy("1+2*3")
-        assert ast == Add(IntLit(1), Mul(IntLit(2), IntLit(3)))
+        assert ast == BinOp("+", IntLit(1), BinOp("*", IntLit(2), IntLit(3)))
         assert evaluate(ast, snap(), None) == 7.0
 
     def test_left_associativity(self):
-        assert parse_policy("1-2-3") == Sub(Sub(IntLit(1), IntLit(2)), IntLit(3))
+        assert parse_policy("1-2-3") == BinOp("-", BinOp("-", IntLit(1), IntLit(2)), IntLit(3))
         assert evaluate(parse_policy("1-2-3"), snap(), None) == -4.0
 
     def test_parentheses(self):
         assert evaluate(parse_policy("(1+2)*3"), snap(), None) == 9.0
 
     def test_mod_keyword(self):
-        assert parse_policy("7 mod 3") == Mod(IntLit(7), IntLit(3))
+        assert parse_policy("7 mod 3") == BinOp("mod", IntLit(7), IntLit(3))
 
     def test_unary_minus_binds_tighter_than_mul(self):
-        assert parse_policy("-2*3") == Mul(Neg(IntLit(2)), IntLit(3))
+        assert parse_policy("-2*3") == BinOp("*", Neg(IntLit(2)), IntLit(3))
 
     def test_double_unary_minus(self):
         assert parse_policy("--2") == Neg(Neg(IntLit(2)))
 
     def test_comments_and_whitespace(self):
         ast = parse_policy("# prefer short queues\n-queueSize  # per server\n")
-        assert ast == Neg(QueueSize())
+        assert ast == Neg(Leaf("queueSize"))
 
     def test_all_terminals(self):
         text = (
@@ -91,7 +88,7 @@ class TestParse:
         parse_policy(text)  # must not raise
 
     def test_id_both_spellings(self):
-        assert parse_policy("id") == parse_policy("ID")
+        assert parse_policy("id") == parse_policy("ID") == Leaf("ID")
 
     def test_syntax_error_has_position(self):
         with pytest.raises(PolicySyntaxError) as err:
@@ -209,6 +206,42 @@ class TestEvaluate:
         a = evaluate(expr, s, ScriptedRng([0.125]))
         b = compile_policy(expr)(s, ScriptedRng([0.125]))
         assert a == b == -8.0 + 0.125
+
+
+# One row per vocabulary leaf: its value on LEAF_SNAP (with the random leaf
+# drawing 0.375) and its format_ast label.
+LEAF_SNAP = dict(sid=2, n=4, queue=3, state=PowerState.WAKEUP, power_on=201.0,
+                 power_sleep=14.5, power_suspend=190.0, power_wakeup=180.0,
+                 time_wakeup=11.0, time_suspend=9.0, timeout_time=7.5)
+LEAF_EXPECTED = {
+    "ID": (2.0, "Id"),
+    "numServers": (4.0, "NumServers"),
+    "queueSize": (3.0, "QueueSize"),
+    "stateOn": (0.0, "StateOn"),
+    "stateSleep": (0.0, "StateSleep"),
+    "stateSuspend": (0.0, "StateSuspend"),
+    "stateWakeup": (1.0, "StateWakeup"),
+    "powerOn": (201.0, "PowerOn"),
+    "powerSleep": (14.5, "PowerSleep"),
+    "powerSuspend": (190.0, "PowerSuspend"),
+    "powerWakeup": (180.0, "PowerWakeup"),
+    "timeWakeup": (11.0, "TimeWakeup"),
+    "timeSuspend": (9.0, "TimeSuspend"),
+    "timeOutTime": (7.5, "TimeOutTime"),
+    "random": (0.375, "Random"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(LEAVES) | set(LEAF_EXPECTED)))
+def test_leaf_table(name):
+    value, label = LEAF_EXPECTED[name]
+    ast = parse_policy(name)
+    assert ast == Leaf(name)
+    s = snap(**LEAF_SNAP)
+    assert evaluate(ast, s, ScriptedRng([0.375])) == value
+    assert compile_policy(ast)(s, ScriptedRng([0.375])) == value
+    assert pretty_print(ast) == name
+    assert format_ast(ast) == label
 
 
 class TestSelectServer:
