@@ -1,9 +1,17 @@
 """Deterministic discrete-event loop driving the cluster under a policy.
 
-Arrivals form a Poisson process; each arrival snapshots every server, asks
-the policy for a target (taking zero simulated time), and hands the request
-over.  Events are dispatched in (time, kind, sequence) order, where the kind
-rank settles server-internal transitions before a simultaneous arrival.
+Arrivals form a Poisson process; each arrival asks the policy for a target
+(taking zero simulated time) and hands the request over.  Events are
+dispatched in (time, kind, sequence) order, where the kind rank settles
+server-internal transitions before a simultaneous arrival.
+
+A server's policy value depends only on its own queue size and power state
+(plus run constants), and every event changes the state of one server at
+most.  So the loop keeps each server's value between arrivals and, at an
+arrival, scores again only the servers whose events ran since the last one.
+A policy with a ``random`` leaf is scored on every server at every arrival,
+as its draws must be.  The pick equals :func:`select_server` on snapshots of
+every server with the same RNG.
 
 Two independent RNG substreams are derived from the run seed, one for
 arrival times and one for policy randomness, so switching the tie-resolution
@@ -30,9 +38,11 @@ from .policy import (
     PowerState,
     ServerSnapshot,
     UndefinedDesignParamError,
+    break_ties,
     compile_policy,
+    draws_random,
     parse_policy,
-    select_server,
+    select_server,  # the reference pick; still importable from this module
 )
 
 if TYPE_CHECKING:
@@ -47,6 +57,12 @@ __all__ = [
     "simulate",
     "run",
 ]
+
+
+_SERVICE_COMPLETE = int(EventKind.SERVICE_COMPLETE)
+_SUSPEND_DONE = int(EventKind.SUSPEND_DONE)
+_TIMEOUT = int(EventKind.TIMEOUT)
+_ARRIVAL = int(EventKind.ARRIVAL)
 
 
 class SimulationError(RuntimeError):
@@ -145,6 +161,7 @@ def simulate(config: SimConfig, trace_path: str | Path | None = None) -> Simulat
 
     cluster = Cluster(config.num_servers, config.power, config.service_time,
                       config.initial_state)
+    servers = cluster.servers
     evaluator = compile_policy(config.policy)
     n = config.num_servers
     power, design_params = config.power, config.design_params
@@ -161,10 +178,19 @@ def simulate(config: SimConfig, trace_path: str | Path | None = None) -> Simulat
         for sch in scheduled:
             push(sch.kind, sch.time, sch.server, sch.token)
 
-    def snapshots() -> list[ServerSnapshot]:
-        return [
-            ServerSnapshot(
-                id=s.id,
+    # Policy values per server, valid for every server not in ``dirty``.
+    scores = [0.0] * n
+    dirty = set(range(n))
+    rescore_all = draws_random(config.policy)
+    fixed_fractions = ([i / n for i in range(n)]
+                       if config.nd is NdResolution.FIXED_ORDER else None)
+
+    def select() -> int:
+        """Score the servers whose state changed, in ascending id, then break ties."""
+        for i in range(n) if rescore_all else sorted(dirty):
+            s = servers[i]
+            scores[i] = evaluator(ServerSnapshot(
+                id=i,
                 num_servers=n,
                 queue_size=s.queue_size,
                 power_state=s.power_state,
@@ -176,9 +202,12 @@ def simulate(config: SimConfig, trace_path: str | Path | None = None) -> Simulat
                 time_suspend=power.t_suspend,
                 timeout_time=power.timeout,
                 design_params=design_params,
-            )
-            for s in cluster.servers
-        ]
+            ), policy_rng)
+        dirty.clear()
+        fractions = fixed_fractions
+        if fractions is None:  # the values of n scalar draws, drawn at once
+            fractions = policy_rng.random(n).tolist()
+        return break_ties(scores, fractions)
 
     max_req = config.stop.max_requests
     max_vt = config.stop.max_virtual_time
@@ -216,14 +245,12 @@ def simulate(config: SimConfig, trace_path: str | Path | None = None) -> Simulat
                 break
             time, prio, _, sid, token = heapq.heappop(heap)
             clock = time
-            kind = EventKind(prio)
-            if kind is EventKind.ARRIVAL:
+            if prio == _ARRIVAL:
                 arrival_pending = False
                 index = len(requests)
                 req = Request(arrival_time=time, index=index)
                 try:
-                    target = select_server(config.policy, snapshots(), config.nd,
-                                           policy_rng, evaluator)
+                    target = select()
                 except (EvaluationError, UndefinedDesignParamError) as exc:
                     raise SimulationError(
                         f"policy evaluation failed for request {index}: {exc}"
@@ -231,26 +258,30 @@ def simulate(config: SimConfig, trace_path: str | Path | None = None) -> Simulat
                 requests.append(req)
                 counts[target] += 1
                 push_all(cluster.on_request_assigned(target, req, time))
+                dirty.add(target)
                 trace_row(time, target, "arrival")
                 t_next = time + generate_interarrival(arrival_rng, config.arrival_rate)
                 if can_inject(index + 1, t_next):
                     push(EventKind.ARRIVAL, t_next)
                     arrival_pending = True
-            elif kind is EventKind.SERVICE_COMPLETE:
+                continue
+            if prio == _SERVICE_COMPLETE:
                 push_all(cluster.on_service_complete(sid, time))
                 completed += 1
-                trace_row(time, sid, "service_complete")
-            elif kind is EventKind.TIMEOUT:
-                if token != cluster.servers[sid].timeout_token:
+                event = "service_complete"
+            elif prio == _TIMEOUT:
+                if token != servers[sid].timeout_token:
                     continue  # cancelled by an arrival or a service start
                 push_all(cluster.on_timeout(sid, time, token))
-                trace_row(time, sid, "timeout")
-            elif kind is EventKind.SUSPEND_DONE:
+                event = "timeout"
+            elif prio == _SUSPEND_DONE:
                 push_all(cluster.on_suspend_done(sid, time))
-                trace_row(time, sid, "suspend_done")
+                event = "suspend_done"
             else:
                 push_all(cluster.on_wakeup_done(sid, time))
-                trace_row(time, sid, "wakeup_done")
+                event = "wakeup_done"
+            dirty.add(sid)
+            trace_row(time, sid, event)
     finally:
         if trace_file is not None:
             trace_file.close()

@@ -513,6 +513,38 @@ def compile_policy(expr: PolicyExpr) -> Evaluator:
 
 # --- Server selection --------------------------------------------------
 
+def draws_random(expr: PolicyExpr) -> bool:
+    """Whether ``expr`` has a ``random`` leaf.
+
+    Every other leaf reads only the server's own state or run constants, so
+    a policy without ``random`` scores a server the same until that server's
+    queue size or power state changes.
+    """
+    if isinstance(expr, Leaf):
+        return expr.name == "random"
+    if isinstance(expr, Neg):
+        return draws_random(expr.operand)
+    if isinstance(expr, BinOp):
+        return draws_random(expr.left) or draws_random(expr.right)
+    return False
+
+
+def break_ties(values: Sequence[float], fractions: Sequence[float]) -> int:
+    """Index of the largest ``values[i] + fractions[i]``.
+
+    The comparison is strict, so among equal sums the lowest index wins, and
+    a NaN sum never wins: when the sum at index 0 is NaN, index 0 is kept.
+    """
+    best = 0
+    best_value = values[0] + fractions[0]
+    for i in range(1, len(values)):
+        value = values[i] + fractions[i]
+        if value > best_value:
+            best = i
+            best_value = value
+    return best
+
+
 def select_server(
     expr: PolicyExpr,
     snaps: Sequence[ServerSnapshot],
@@ -527,10 +559,15 @@ def select_server(
     a fresh ``U[0,1)`` draw for ``RANDOM_FRACTION``, or ``id/numServers``
     for ``FIXED_ORDER``.  Fractions live in ``[0,1)`` so they can only break
     ties between integer-valued policies, never overturn a gap of >= 1.
-    A residual exact tie goes to the lowest id.
+    A residual exact tie goes to the lowest id (:func:`break_ties`).
 
-    ``evaluator`` may supply a precompiled closure for ``expr`` (hot path);
-    semantics are identical to :func:`evaluate`.
+    This is the reference selection, for ``greenlb eval`` and the tests: it
+    scores every snapshot and draws one ``rng.random()`` per fraction.  The
+    simulator keeps per-server scores between arrivals instead and draws the
+    same fractions as one block, which picks the same server.
+
+    ``evaluator`` may supply a precompiled closure for ``expr``; semantics
+    are identical to :func:`evaluate`.
     """
     if not snaps:
         raise ValueError("select_server requires at least one snapshot")
@@ -543,13 +580,7 @@ def select_server(
         ev = lambda snap, r: evaluate(expr, snap, r)
     values = [ev(snap, rng) for snap in ordered]
     if nd is NdResolution.RANDOM_FRACTION:
-        values = [v + float(rng.random()) for v in values]
+        fractions = [float(rng.random()) for _ in range(n)]
     else:
-        values = [v + snap.id / n for v, snap in zip(values, ordered)]
-    best = 0
-    best_value = values[0]
-    for i in range(1, n):
-        if values[i] > best_value:
-            best = i
-            best_value = values[i]
-    return best
+        fractions = [i / n for i in range(n)]
+    return break_ties(values, fractions)

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import greenlb.engine
+from greenlb.cluster import PowerModel
 from greenlb.engine import (
     SimConfig,
     SimulationError,
@@ -15,7 +17,13 @@ from greenlb.engine import (
     simulate,
 )
 from greenlb.events import EventKind
-from greenlb.policy import NdResolution, PowerState, parse_policy
+from greenlb.policy import (
+    NdResolution,
+    PowerState,
+    ServerSnapshot,
+    parse_policy,
+    select_server,
+)
 
 from helpers import assert_timeline_wellformed
 
@@ -136,6 +144,15 @@ class TestRun:
         with pytest.raises(SimulationError, match="request 0"):
             simulate(bad)
 
+    @pytest.mark.parametrize("nd, index", [(NdResolution.RANDOM_FRACTION, 4),
+                                           (NdResolution.FIXED_ORDER, 3)])
+    def test_mid_run_policy_failure_names_request_index(self, nd, index):
+        # the first arrival that finds a server holding 3 requests divides by zero
+        bad = config(policy=parse_policy("-1 / (queueSize - 3)"), design_params={},
+                     nd=nd, seed=1, stop=StopCriterion(max_requests=2000))
+        with pytest.raises(SimulationError, match=f"request {index}: division by zero"):
+            simulate(bad)
+
 
 class TestStopCriteria:
     def test_max_requests_horizon_is_last_completion(self):
@@ -217,3 +234,85 @@ class TestConfigValidation:
         ):
             with pytest.raises(ValueError):
                 config(**kw).validate()
+
+
+DIFFERENTIAL_POLICIES = [
+    '-queueSize - dspace("q") * (1 - stateOn)',
+    "0",
+    "ID",
+    "random * 3 - queueSize",
+    "timeOutTime - timeOutTime",  # NaN on every server when the timeout is inf
+    "-queueSize + stateWakeup * 2 mod 3",
+]
+
+
+class TestSelection:
+    """The loop's cached per-server values pick what ``select_server`` picks."""
+
+    @pytest.mark.parametrize("timeout", [1.0, math.inf])
+    @pytest.mark.parametrize("initial_state", [PowerState.SLEEP, PowerState.ON])
+    @pytest.mark.parametrize("nd", list(NdResolution))
+    @pytest.mark.parametrize("policy", DIFFERENTIAL_POLICIES)
+    def test_every_pick_equals_select_server(self, tmp_path, policy, nd, initial_state,
+                                             timeout):
+        # Rebuild each server's state from the trace; at every arrival, score all
+        # servers afresh with select_server and the run's own policy substream.
+        cfg = config(num_servers=5, policy=parse_policy(policy), nd=nd,
+                     initial_state=initial_state, power=PowerModel(timeout=timeout),
+                     stop=StopCriterion(max_requests=300), seed=3)
+        path = tmp_path / "trace.csv"
+        record = simulate(cfg, trace_path=path)
+        policy_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
+        power = cfg.power
+        state = [(0, initial_state)] * cfg.num_servers
+        picks = []
+        with open(path) as fh:
+            for row in csv.DictReader(fh):
+                server = int(row["server"])
+                if row["event"] == "arrival":
+                    snaps = [
+                        ServerSnapshot(
+                            id=i, num_servers=cfg.num_servers, queue_size=q, power_state=st,
+                            power_on=power.p_on, power_sleep=power.p_sleep,
+                            power_suspend=power.p_suspend, power_wakeup=power.p_wakeup,
+                            time_wakeup=power.t_wakeup, time_suspend=power.t_suspend,
+                            timeout_time=power.timeout, design_params=cfg.design_params,
+                        )
+                        for i, (q, st) in enumerate(state)
+                    ]
+                    picks.append(select_server(cfg.policy, snaps, nd, policy_rng))
+                    assert picks[-1] == server, f"arrival {len(picks) - 1}"
+                state[server] = (int(row["queue_size"]), PowerState(row["power_state"]))
+        assert picks == [r.assigned_server for r in record.requests]
+        assert len(picks) == 300
+
+    @staticmethod
+    def counted_evaluations(monkeypatch, cfg) -> float:
+        """Policy evaluations per arrival over one run of ``cfg``."""
+        calls = [0]
+        compile_policy = greenlb.engine.compile_policy
+
+        def counting_compile(expr):
+            evaluator = compile_policy(expr)
+
+            def counted(snap, rng):
+                calls[0] += 1
+                return evaluator(snap, rng)
+
+            return counted
+
+        monkeypatch.setattr(greenlb.engine, "compile_policy", counting_compile)
+        record = simulate(cfg)
+        return calls[0] / len(record.requests)
+
+    def test_arrival_scores_only_servers_whose_state_changed(self, monkeypatch):
+        cfg = config(num_servers=64, arrival_rate=16.0,
+                     stop=StopCriterion(max_virtual_time=200.0))
+        # scoring every server would make 64 evaluations per arrival
+        assert self.counted_evaluations(monkeypatch, cfg) < 5
+
+    def test_random_leaf_scores_every_server_at_every_arrival(self, monkeypatch):
+        cfg = config(num_servers=64, arrival_rate=16.0,
+                     policy=parse_policy("random - queueSize"),
+                     stop=StopCriterion(max_virtual_time=50.0))
+        assert self.counted_evaluations(monkeypatch, cfg) == 64
