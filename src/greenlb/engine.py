@@ -9,9 +9,13 @@ A server's policy value depends only on its own queue size and power state
 (plus run constants), and every event changes the state of one server at
 most.  So the loop keeps each server's value between arrivals and, at an
 arrival, scores again only the servers whose events ran since the last one.
-A policy with a ``random`` leaf is scored on every server at every arrival,
-as its draws must be.  The pick equals :func:`select_server` on snapshots of
-every server with the same RNG.
+Scoring again is a lookup too: a run keeps one memo from (server id, queue
+size, power state) to the policy value, so each such key builds one
+:class:`ServerSnapshot` and evaluates the policy once per run.  That is exact
+because the value reads nothing else but run constants; a failed evaluation
+stores nothing and ends the run.  A policy with a ``random`` leaf is scored
+on every server at every arrival, as its draws must be.  The pick equals
+:func:`select_server` on snapshots of every server with the same RNG.
 
 Two independent RNG substreams are derived from the run seed, one for
 arrival times and one for policy randomness, so switching the tie-resolution
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,6 +63,8 @@ __all__ = [
     "run",
 ]
 
+
+log = logging.getLogger("greenlb")
 
 _SERVICE_COMPLETE = int(EventKind.SERVICE_COMPLETE)
 _SUSPEND_DONE = int(EventKind.SUSPEND_DONE)
@@ -155,6 +162,10 @@ def generate_interarrival(rng, rate: float = 1.0) -> float:
 def simulate(config: SimConfig, trace_path: str | Path | None = None) -> SimulationRecord:
     """Run the event loop to the stop criterion; optionally export a CSV trace."""
     config.validate()
+    load = config.arrival_rate * config.service_time
+    if load >= config.num_servers:
+        log.warning("offered load %g >= %d servers: queues grow without bound",
+                    load, config.num_servers)
     arrival_ss, policy_ss = np.random.SeedSequence(config.seed).spawn(2)
     arrival_rng = np.random.default_rng(arrival_ss)
     policy_rng = np.random.default_rng(policy_ss)
@@ -182,27 +193,47 @@ def simulate(config: SimConfig, trace_path: str | Path | None = None) -> Simulat
     scores = [0.0] * n
     dirty = set(range(n))
     rescore_all = draws_random(config.policy)
+    # Policy values by (server id, queue size, power state); unused with ``random``.
+    memo: dict[tuple[int, int, PowerState], float] = {}
     fixed_fractions = ([i / n for i in range(n)]
                        if config.nd is NdResolution.FIXED_ORDER else None)
 
+    def score(i: int) -> float:
+        s = servers[i]
+        return evaluator(ServerSnapshot(
+            id=i,
+            num_servers=n,
+            queue_size=s.queue_size,
+            power_state=s.power_state,
+            power_on=power.p_on,
+            power_sleep=power.p_sleep,
+            power_suspend=power.p_suspend,
+            power_wakeup=power.p_wakeup,
+            time_wakeup=power.t_wakeup,
+            time_suspend=power.t_suspend,
+            timeout_time=power.timeout,
+            design_params=design_params,
+        ), policy_rng)
+
     def select() -> int:
-        """Score the servers whose state changed, in ascending id, then break ties."""
-        for i in range(n) if rescore_all else sorted(dirty):
-            s = servers[i]
-            scores[i] = evaluator(ServerSnapshot(
-                id=i,
-                num_servers=n,
-                queue_size=s.queue_size,
-                power_state=s.power_state,
-                power_on=power.p_on,
-                power_sleep=power.p_sleep,
-                power_suspend=power.p_suspend,
-                power_wakeup=power.p_wakeup,
-                time_wakeup=power.t_wakeup,
-                time_suspend=power.t_suspend,
-                timeout_time=power.timeout,
-                design_params=design_params,
-            ), policy_rng)
+        """Score the servers whose state changed, in ascending id, then break ties.
+
+        A server's (id, queue size, power state) seen before in this run takes
+        its value from ``memo``; only a new key builds a snapshot and evaluates
+        the policy.  That is exact because a policy without ``random`` reads
+        nothing else but run constants.  A failed evaluation stores nothing.
+        """
+        if rescore_all:
+            for i in range(n):
+                scores[i] = score(i)
+        else:
+            for i in sorted(dirty):
+                s = servers[i]
+                key = (i, s.queue_size, s.power_state)
+                value = memo.get(key)
+                if value is None:
+                    value = memo[key] = score(i)
+                scores[i] = value
         dirty.clear()
         fractions = fixed_fractions
         if fractions is None:  # the values of n scalar draws, drawn at once

@@ -1,10 +1,15 @@
 """Event-loop tests: arrivals, ordering, stop criteria, determinism."""
 
 import csv
+import logging
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import greenlb.engine
 from greenlb.cluster import PowerModel
@@ -18,14 +23,17 @@ from greenlb.engine import (
 )
 from greenlb.events import EventKind
 from greenlb.policy import (
+    EvaluationError,
     NdResolution,
     PowerState,
     ServerSnapshot,
+    UndefinedDesignParamError,
     parse_policy,
     select_server,
 )
 
 from helpers import assert_timeline_wellformed
+from test_policy_properties import ASTS
 
 
 class ScriptedRng:
@@ -243,7 +251,63 @@ DIFFERENTIAL_POLICIES = [
     "random * 3 - queueSize",
     "timeOutTime - timeOutTime",  # NaN on every server when the timeout is inf
     "-queueSize + stateWakeup * 2 mod 3",
+    "timeOutTime mod 3",  # fails at the first arrival when the timeout is inf
 ]
+
+
+def assert_picks_equal_select_server(cfg):
+    """Run ``cfg`` and check every pick against a fresh ``select_server``.
+
+    Each server's (queue size, power state) is rebuilt from the run's trace.
+    At every arrival all servers are scored afresh with ``select_server`` and
+    the run's own policy substream, and its pick must be the assigned server.
+    If the run fails, ``select_server`` must fail at the same arrival.
+    Returns the number of arrivals picked before the run ended.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        try:
+            record, failure = simulate(cfg, trace_path=path), None
+        except (SimulationError, ValueError) as exc:
+            record, failure = None, exc
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
+    policy_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
+    power = cfg.power
+    state = [(0, cfg.initial_state)] * cfg.num_servers
+
+    def reference_pick():
+        snaps = [
+            ServerSnapshot(
+                id=i, num_servers=cfg.num_servers, queue_size=q, power_state=ps,
+                power_on=power.p_on, power_sleep=power.p_sleep,
+                power_suspend=power.p_suspend, power_wakeup=power.p_wakeup,
+                time_wakeup=power.t_wakeup, time_suspend=power.t_suspend,
+                timeout_time=power.timeout, design_params=cfg.design_params,
+            )
+            for i, (q, ps) in enumerate(state)
+        ]
+        return select_server(cfg.policy, snaps, cfg.nd, policy_rng)
+
+    picks = []
+    for row in rows:
+        server = int(row["server"])
+        if row["event"] == "arrival":
+            picks.append(reference_pick())
+            assert picks[-1] == server, f"arrival {len(picks) - 1}"
+        state[server] = (int(row["queue_size"]), PowerState(row["power_state"]))
+    if failure is None:
+        assert picks == [r.assigned_server for r in record.requests]
+        return len(picks)
+    # the failed arrival wrote no trace row, so it is arrival len(picks)
+    if isinstance(failure, SimulationError):
+        assert f"request {len(picks)}: " in str(failure)
+        expected = (EvaluationError, UndefinedDesignParamError)
+    else:  # math.fmod's own error (an infinite dividend) escapes unwrapped
+        expected = type(failure)
+    with pytest.raises(expected):
+        reference_pick()
+    return len(picks)
 
 
 class TestSelection:
@@ -253,38 +317,21 @@ class TestSelection:
     @pytest.mark.parametrize("initial_state", [PowerState.SLEEP, PowerState.ON])
     @pytest.mark.parametrize("nd", list(NdResolution))
     @pytest.mark.parametrize("policy", DIFFERENTIAL_POLICIES)
-    def test_every_pick_equals_select_server(self, tmp_path, policy, nd, initial_state,
-                                             timeout):
-        # Rebuild each server's state from the trace; at every arrival, score all
-        # servers afresh with select_server and the run's own policy substream.
+    def test_every_pick_equals_select_server(self, policy, nd, initial_state, timeout):
         cfg = config(num_servers=5, policy=parse_policy(policy), nd=nd,
                      initial_state=initial_state, power=PowerModel(timeout=timeout),
                      stop=StopCriterion(max_requests=300), seed=3)
-        path = tmp_path / "trace.csv"
-        record = simulate(cfg, trace_path=path)
-        policy_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
-        power = cfg.power
-        state = [(0, initial_state)] * cfg.num_servers
-        picks = []
-        with open(path) as fh:
-            for row in csv.DictReader(fh):
-                server = int(row["server"])
-                if row["event"] == "arrival":
-                    snaps = [
-                        ServerSnapshot(
-                            id=i, num_servers=cfg.num_servers, queue_size=q, power_state=st,
-                            power_on=power.p_on, power_sleep=power.p_sleep,
-                            power_suspend=power.p_suspend, power_wakeup=power.p_wakeup,
-                            time_wakeup=power.t_wakeup, time_suspend=power.t_suspend,
-                            timeout_time=power.timeout, design_params=cfg.design_params,
-                        )
-                        for i, (q, st) in enumerate(state)
-                    ]
-                    picks.append(select_server(cfg.policy, snaps, nd, policy_rng))
-                    assert picks[-1] == server, f"arrival {len(picks) - 1}"
-                state[server] = (int(row["queue_size"]), PowerState(row["power_state"]))
-        assert picks == [r.assigned_server for r in record.requests]
-        assert len(picks) == 300
+        fails = policy == "timeOutTime mod 3" and timeout == math.inf
+        assert assert_picks_equal_select_server(cfg) == (0 if fails else 300)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ast=ASTS, nd=st.sampled_from(list(NdResolution)),
+           timeout=st.sampled_from([1.0, math.inf]))
+    def test_generated_policy_picks_equal_select_server(self, ast, nd, timeout):
+        cfg = config(num_servers=3, policy=ast, nd=nd, power=PowerModel(timeout=timeout),
+                     design_params={"q": 5.0, "TO": 7.5, "x7": 0.25},
+                     stop=StopCriterion(max_requests=100), seed=3)
+        assert_picks_equal_select_server(cfg)
 
     @staticmethod
     def counted_evaluations(monkeypatch, cfg) -> float:
@@ -316,3 +363,39 @@ class TestSelection:
                      policy=parse_policy("random - queueSize"),
                      stop=StopCriterion(max_virtual_time=50.0))
         assert self.counted_evaluations(monkeypatch, cfg) == 64
+
+    def test_each_server_state_is_snapshotted_once(self, monkeypatch, tmp_path):
+        # a policy without random is a function of (id, queue size, state), so
+        # each key seen in the run is scored once; scoring per arrival makes 2,000
+        built = []
+
+        def counting_snapshot(**fields):
+            built.append((fields["id"], fields["queue_size"], fields["power_state"]))
+            return ServerSnapshot(**fields)
+
+        monkeypatch.setattr(greenlb.engine, "ServerSnapshot", counting_snapshot)
+        cfg = config(num_servers=1, arrival_rate=0.5, power=PowerModel(timeout=1.0),
+                     stop=StopCriterion(max_requests=2000), seed=1)
+        path = tmp_path / "trace.csv"
+        simulate(cfg, trace_path=path)
+        with open(path) as fh:
+            seen = {(int(row["server"]), int(row["queue_size"]),
+                     PowerState(row["power_state"])) for row in csv.DictReader(fh)}
+        seen.add((0, 0, cfg.initial_state))
+        assert len(built) == len(set(built))
+        assert set(built) <= seen
+
+
+class TestOverloadWarning:
+    def test_overloaded_run_logs_one_warning(self, caplog):
+        cfg = config(num_servers=2, arrival_rate=2.0, stop=StopCriterion(max_requests=50))
+        with caplog.at_level(logging.WARNING, logger="greenlb"):
+            simulate(cfg)
+        (rec,) = caplog.records
+        assert rec.name == "greenlb" and rec.levelno == logging.WARNING
+        assert "grow without bound" in rec.getMessage()
+
+    def test_stable_run_logs_nothing(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="greenlb"):
+            simulate(config())
+        assert caplog.records == []
