@@ -19,13 +19,22 @@ on every server at every arrival, as its draws must be.  The pick equals
 
 Two independent RNG substreams are derived from the run seed, one for
 arrival times and one for policy randomness, so switching the tie-resolution
-mode never perturbs the workload.
+mode never perturbs the workload.  Both are drawn in blocks
+(:class:`UniformBlocks`) that hand out the values of scalar draws in the same
+order, so results are the same as with one ``Generator.random()`` per draw.
+The policy substream feeds both the ``random`` leaves and the tie fractions.
+
+The loop itself is flat: heap entries are ``(time, kind, seq, server,
+token)`` tuples, each cluster handler is bound once per run, and the
+:class:`Scheduled` tuples a handler returns are unpacked straight into heap
+pushes.
 """
 
 from __future__ import annotations
 
 import csv
 import heapq
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -58,6 +67,7 @@ __all__ = [
     "StopCriterion",
     "SimConfig",
     "SimulationRecord",
+    "UniformBlocks",
     "generate_interarrival",
     "simulate",
     "run",
@@ -67,9 +77,9 @@ __all__ = [
 log = logging.getLogger("greenlb")
 
 _SERVICE_COMPLETE = int(EventKind.SERVICE_COMPLETE)
-_SUSPEND_DONE = int(EventKind.SUSPEND_DONE)
 _TIMEOUT = int(EventKind.TIMEOUT)
 _ARRIVAL = int(EventKind.ARRIVAL)
+_BLOCK = 1024  # values fetched per refill of a UniformBlocks
 
 
 class SimulationError(RuntimeError):
@@ -159,6 +169,27 @@ def generate_interarrival(rng, rate: float = 1.0) -> float:
     return -math.log1p(-u) / rate
 
 
+class UniformBlocks:
+    """U[0,1) draws from a numpy ``Generator``, fetched ``_BLOCK`` values at a time.
+
+    ``random()`` returns what successive ``generator.random()`` calls would,
+    in the same order, and ``take(n)`` the next ``n`` of them as a list:
+    ``Generator.random(k)`` fills an array with the values of ``k`` scalar
+    draws.  ``random`` is the C-level ``__next__`` of the value stream, so a
+    draw costs no Python call outside a refill.
+    """
+
+    __slots__ = ("_values", "random")
+
+    def __init__(self, generator: np.random.Generator):
+        self._values = itertools.chain.from_iterable(
+            iter(lambda: generator.random(_BLOCK).tolist(), None))
+        self.random = self._values.__next__
+
+    def take(self, n: int) -> list[float]:
+        return list(itertools.islice(self._values, n))
+
+
 def simulate(config: SimConfig, trace_path: str | Path | None = None) -> SimulationRecord:
     """Run the event loop to the stop criterion; optionally export a CSV trace."""
     config.validate()
@@ -167,34 +198,29 @@ def simulate(config: SimConfig, trace_path: str | Path | None = None) -> Simulat
         log.warning("offered load %g >= %d servers: queues grow without bound",
                     load, config.num_servers)
     arrival_ss, policy_ss = np.random.SeedSequence(config.seed).spawn(2)
-    arrival_rng = np.random.default_rng(arrival_ss)
-    policy_rng = np.random.default_rng(policy_ss)
+    arrival_rng = UniformBlocks(np.random.default_rng(arrival_ss))
+    policy_rng = UniformBlocks(np.random.default_rng(policy_ss))
 
     cluster = Cluster(config.num_servers, config.power, config.service_time,
                       config.initial_state)
     servers = cluster.servers
     evaluator = compile_policy(config.policy)
     n = config.num_servers
+    rate = config.arrival_rate
     power, design_params = config.power, config.design_params
-
-    heap: list[tuple] = []
-    seq = 0
-
-    def push(kind: EventKind, time: float, server: int = -1, token: int = 0) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (time, int(kind), seq, server, token))
-        seq += 1
-
-    def push_all(scheduled) -> None:
-        for sch in scheduled:
-            push(sch.kind, sch.time, sch.server, sch.token)
+    interarrival = generate_interarrival
+    assign = cluster.on_request_assigned
+    on_timeout = cluster.on_timeout
+    # handlers indexed by kind, for the kinds before TIMEOUT (see EventKind)
+    handlers = (cluster.on_service_complete, cluster.on_suspend_done,
+                cluster.on_wakeup_done)
 
     # Policy values per server, valid for every server not in ``dirty``.
     scores = [0.0] * n
     dirty = set(range(n))
     rescore_all = draws_random(config.policy)
-    # Policy values by (server id, queue size, power state); unused with ``random``.
-    memo: dict[tuple[int, int, PowerState], float] = {}
+    # Policy values by (server id, queue size, power state value); unused with ``random``.
+    memo: dict[tuple[int, int, str], float] = {}
     fixed_fractions = ([i / n for i in range(n)]
                        if config.nd is NdResolution.FIXED_ORDER else None)
 
@@ -215,47 +241,24 @@ def simulate(config: SimConfig, trace_path: str | Path | None = None) -> Simulat
             design_params=design_params,
         ), policy_rng)
 
-    def select() -> int:
-        """Score the servers whose state changed, in ascending id, then break ties.
+    # injection bounds; inf where the stop criterion leaves one open
+    max_req, max_vt = config.stop.max_requests, config.stop.max_virtual_time
+    request_cap = math.inf if max_req is None else max_req
+    time_cap = math.inf if max_vt is None else max_vt
 
-        A server's (id, queue size, power state) seen before in this run takes
-        its value from ``memo``; only a new key builds a snapshot and evaluates
-        the policy.  That is exact because a policy without ``random`` reads
-        nothing else but run constants.  A failed evaluation stores nothing.
-        """
-        if rescore_all:
-            for i in range(n):
-                scores[i] = score(i)
-        else:
-            for i in sorted(dirty):
-                s = servers[i]
-                key = (i, s.queue_size, s.power_state)
-                value = memo.get(key)
-                if value is None:
-                    value = memo[key] = score(i)
-                scores[i] = value
-        dirty.clear()
-        fractions = fixed_fractions
-        if fractions is None:  # the values of n scalar draws, drawn at once
-            fractions = policy_rng.random(n).tolist()
-        return break_ties(scores, fractions)
-
-    max_req = config.stop.max_requests
-    max_vt = config.stop.max_virtual_time
-
-    def can_inject(index: int, t: float) -> bool:
-        return (max_req is None or index < max_req) and (max_vt is None or t <= max_vt)
-
-    push_all(cluster.start(0.0))
-    arrival_pending = False
-    t0 = generate_interarrival(arrival_rng, config.arrival_rate)
-    if can_inject(0, t0):
-        push(EventKind.ARRIVAL, t0)
-        arrival_pending = True
+    heap: list[tuple] = [(t, kind, seq, server, token) for seq, (kind, server, t, token)
+                         in enumerate(cluster.start(0.0))]
+    heapq.heapify(heap)
+    seq = len(heap)
+    t0 = interarrival(arrival_rng, rate)
+    arrival_pending = 0 < request_cap and t0 <= time_cap
+    if arrival_pending:
+        heapq.heappush(heap, (t0, _ARRIVAL, seq, -1, 0))
+        seq += 1
 
     requests: list[Request] = []
     counts = [0] * n
-    completed = 0
+    injected = completed = 0
     clock = 0.0
 
     trace_file = open(trace_path, "w", newline="") if trace_path is not None else None
@@ -264,55 +267,76 @@ def simulate(config: SimConfig, trace_path: str | Path | None = None) -> Simulat
         trace.writerow(["time", "server", "event", "power_state", "queue_size"])
 
     def trace_row(time: float, server_id: int, event: str) -> None:
-        if trace is not None:
-            s = cluster.servers[server_id]
-            trace.writerow([repr(time), server_id, event, s.power_state.value, s.queue_size])
+        s = servers[server_id]
+        trace.writerow([repr(time), server_id, event, s.power_state.value, s.queue_size])
 
+    heappush, heappop = heapq.heappush, heapq.heappop
+    dirty_add, memo_get = dirty.add, memo.get
+    take = policy_rng.take
     try:
         while heap:
-            # max_requests-only runs end at the last completion; leftover
-            # timer events would only move servers towards sleep.
-            if max_vt is None and not arrival_pending and completed == len(requests):
-                break
-            time, prio, _, sid, token = heapq.heappop(heap)
+            time, kind, _, sid, token = heappop(heap)
             clock = time
-            if prio == _ARRIVAL:
-                arrival_pending = False
-                index = len(requests)
-                req = Request(arrival_time=time, index=index)
+            if kind == _ARRIVAL:
+                # Score the servers whose state changed, in ascending id, then
+                # break ties.  A (server id, queue size, power state) seen
+                # before in this run takes its value from ``memo``: a policy
+                # without ``random`` reads nothing else but run constants.  A
+                # failed evaluation stores nothing.
                 try:
-                    target = select()
+                    if rescore_all:
+                        for i in range(n):
+                            scores[i] = score(i)
+                    else:
+                        for i in (dirty if len(dirty) == 1 else sorted(dirty)):
+                            s = servers[i]
+                            # the state's value, so the lookup runs no Enum.__hash__
+                            key = (i, s.queue_size, s.power_state._value_)
+                            value = memo_get(key)
+                            if value is None:
+                                value = memo[key] = score(i)
+                            scores[i] = value
                 except (EvaluationError, UndefinedDesignParamError) as exc:
                     raise SimulationError(
-                        f"policy evaluation failed for request {index}: {exc}"
+                        f"policy evaluation failed for request {injected}: {exc}"
                     ) from exc
+                dirty.clear()
+                target = break_ties(scores, take(n) if fixed_fractions is None
+                                    else fixed_fractions)
+                req = Request(time, injected)
                 requests.append(req)
+                injected += 1
                 counts[target] += 1
-                push_all(cluster.on_request_assigned(target, req, time))
-                dirty.add(target)
-                trace_row(time, target, "arrival")
-                t_next = time + generate_interarrival(arrival_rng, config.arrival_rate)
-                if can_inject(index + 1, t_next):
-                    push(EventKind.ARRIVAL, t_next)
-                    arrival_pending = True
+                for k, server, t, tok in assign(target, req, time):
+                    heappush(heap, (t, k, seq, server, tok))
+                    seq += 1
+                dirty_add(target)
+                if trace is not None:
+                    trace_row(time, target, "arrival")
+                t_next = time + interarrival(arrival_rng, rate)
+                arrival_pending = injected < request_cap and t_next <= time_cap
+                if arrival_pending:
+                    heappush(heap, (t_next, _ARRIVAL, seq, -1, 0))
+                    seq += 1
                 continue
-            if prio == _SERVICE_COMPLETE:
-                push_all(cluster.on_service_complete(sid, time))
-                completed += 1
-                event = "service_complete"
-            elif prio == _TIMEOUT:
+            if kind == _TIMEOUT:
                 if token != servers[sid].timeout_token:
                     continue  # cancelled by an arrival or a service start
-                push_all(cluster.on_timeout(sid, time, token))
-                event = "timeout"
-            elif prio == _SUSPEND_DONE:
-                push_all(cluster.on_suspend_done(sid, time))
-                event = "suspend_done"
+                scheduled = on_timeout(sid, time, token)
             else:
-                push_all(cluster.on_wakeup_done(sid, time))
-                event = "wakeup_done"
-            dirty.add(sid)
-            trace_row(time, sid, event)
+                scheduled = handlers[kind](sid, time)
+            for k, server, t, tok in scheduled:
+                heappush(heap, (t, k, seq, server, tok))
+                seq += 1
+            dirty_add(sid)
+            if trace is not None:
+                trace_row(time, sid, kind.name.lower())
+            if kind == _SERVICE_COMPLETE:
+                completed += 1
+                # max_requests-only runs end at the last completion; leftover
+                # timer events would only move servers towards sleep.
+                if completed == injected and not arrival_pending and max_vt is None:
+                    break
     finally:
         if trace_file is not None:
             trace_file.close()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["EventKind", "Scheduled"]
 
@@ -22,9 +22,11 @@ class EventKind(enum.IntEnum):
     ARRIVAL = 4
 
 
-@dataclass(frozen=True, slots=True)
-class Scheduled:
-    """A transition the cluster asks the event loop to enqueue."""
+class Scheduled(NamedTuple):
+    """A transition the cluster asks the event loop to enqueue.
+
+    A plain tuple, so the loop unpacks it straight into a heap entry.
+    """
 
     kind: EventKind
     server: int

@@ -215,7 +215,10 @@ def _div(a: float, b: float) -> float:
 def _mod(a: float, b: float) -> float:
     if b == 0.0:
         raise EvaluationError("mod by zero")
-    return math.fmod(a, b)  # remainder keeps the dividend's sign
+    try:
+        return math.fmod(a, b)  # remainder keeps the dividend's sign
+    except ValueError:
+        raise EvaluationError("mod of an infinite dividend") from None
 
 
 OPERATORS: dict[str, OpSpec] = {
@@ -506,7 +509,10 @@ def compile_policy(expr: PolicyExpr) -> Evaluator:
         b = right(snap, rng)
         if b == 0.0:
             raise EvaluationError("mod by zero")
-        return math.fmod(a, b)
+        try:
+            return math.fmod(a, b)
+        except ValueError:
+            raise EvaluationError("mod of an infinite dividend") from None
 
     return mod
 

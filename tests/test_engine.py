@@ -17,6 +17,7 @@ from greenlb.engine import (
     SimConfig,
     SimulationError,
     StopCriterion,
+    UniformBlocks,
     generate_interarrival,
     run,
     simulate,
@@ -89,6 +90,50 @@ class TestInterarrival:
             generate_interarrival(ScriptedRng([0.5]), rate=0.0)
 
 
+class ScriptedGenerator:
+    """A stand-in ``Generator`` whose ``random(k)`` hands out scripted blocks."""
+
+    def __init__(self, blocks):
+        self._blocks = [np.array(b, dtype=float) for b in blocks]
+
+    def random(self, size):
+        block = self._blocks.pop(0)
+        assert len(block) == size
+        return block
+
+
+class TestUniformBlocks:
+    """Block draws yield exactly the values of scalar ``Generator.random()`` calls."""
+
+    BLOCK = 1024  # the refill size of UniformBlocks
+
+    def test_random_and_take_match_scalar_draws_across_blocks(self):
+        blocks = UniformBlocks(np.random.default_rng(11))
+        scalar = np.random.default_rng(11)
+        got = []
+        while len(got) < 4 * self.BLOCK:  # 3 block boundaries, crossed by both calls
+            got.append(blocks.random())
+            got.extend(blocks.take(7))  # 7 does not divide the block size
+        assert got == [scalar.random() for _ in got]
+        assert all(type(u) is float for u in got)
+
+    def test_interarrival_gaps_match_plain_generator(self):
+        blocks = UniformBlocks(np.random.default_rng(13))
+        plain = np.random.default_rng(13)
+        for _ in range(3 * self.BLOCK + 50):
+            assert generate_interarrival(blocks, 0.7) == generate_interarrival(plain, 0.7)
+
+    def test_zero_at_block_boundary_is_redrawn(self):
+        draws = [0.25] * (self.BLOCK - 1) + [0.0] + [0.75, 0.375] + [0.5] * (self.BLOCK - 2)
+        blocks = UniformBlocks(ScriptedGenerator([draws[:self.BLOCK], draws[self.BLOCK:]]))
+        scripted = ScriptedRng(draws)
+        count = self.BLOCK + 1
+        gaps = [generate_interarrival(blocks, 2.0) for _ in range(count)]
+        assert gaps == [generate_interarrival(scripted, 2.0) for _ in range(count)]
+        assert gaps[self.BLOCK - 1] == -math.log1p(-0.75) / 2.0
+        assert gaps[self.BLOCK] == -math.log1p(-0.375) / 2.0
+
+
 class TestEventOrdering:
     def test_tie_rank_settles_state_before_arrivals(self):
         ranked = sorted(EventKind, key=int)
@@ -159,6 +204,12 @@ class TestRun:
         bad = config(policy=parse_policy("-1 / (queueSize - 3)"), design_params={},
                      nd=nd, seed=1, stop=StopCriterion(max_requests=2000))
         with pytest.raises(SimulationError, match=f"request {index}: division by zero"):
+            simulate(bad)
+
+    def test_mod_of_infinite_timeout_names_request_index(self):
+        bad = config(policy=parse_policy("timeOutTime mod 3"), design_params={},
+                     power=PowerModel(timeout=math.inf))
+        with pytest.raises(SimulationError, match="request 0: mod of an infinite dividend"):
             simulate(bad)
 
 
@@ -268,7 +319,7 @@ def assert_picks_equal_select_server(cfg):
         path = Path(tmp) / "trace.csv"
         try:
             record, failure = simulate(cfg, trace_path=path), None
-        except (SimulationError, ValueError) as exc:
+        except SimulationError as exc:
             record, failure = None, exc
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
@@ -300,12 +351,8 @@ def assert_picks_equal_select_server(cfg):
         assert picks == [r.assigned_server for r in record.requests]
         return len(picks)
     # the failed arrival wrote no trace row, so it is arrival len(picks)
-    if isinstance(failure, SimulationError):
-        assert f"request {len(picks)}: " in str(failure)
-        expected = (EvaluationError, UndefinedDesignParamError)
-    else:  # math.fmod's own error (an infinite dividend) escapes unwrapped
-        expected = type(failure)
-    with pytest.raises(expected):
+    assert f"request {len(picks)}: " in str(failure)
+    with pytest.raises((EvaluationError, UndefinedDesignParamError)):
         reference_pick()
     return len(picks)
 

@@ -196,6 +196,16 @@ class TestEvaluate:
         with pytest.raises(EvaluationError):
             evaluate(parse_policy("1 mod 0"), snap(), None)
 
+    @pytest.mark.parametrize("policy", ["timeOutTime mod 3", "-timeOutTime mod 3"])
+    def test_mod_of_infinite_dividend(self, policy):
+        # math.fmod raises a bare ValueError here; both evaluators wrap it
+        expr = parse_policy(policy)
+        s = snap(timeout_time=math.inf)
+        with pytest.raises(EvaluationError, match="infinite dividend"):
+            evaluate(expr, s, None)
+        with pytest.raises(EvaluationError, match="infinite dividend"):
+            compile_policy(expr)(s, None)
+
     def test_mod_sign_follows_dividend(self):
         assert evaluate(parse_policy("-7 mod 3"), snap(), None) == math.fmod(-7, 3) == -1.0
         assert evaluate(parse_policy("7 mod -3"), snap(), None) == 1.0
