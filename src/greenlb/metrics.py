@@ -9,6 +9,8 @@ window ``[warmup, horizon]``:
   reported per server and as the cluster total.
 
 Confidence intervals come from the batch means method, Student-t at 95%.
+The t quantile is ``scipy.special.stdtrit``, the function ``scipy.stats.t.ppf``
+itself calls, so importing greenlb does not import ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .cluster import PowerModel, Request
 from .policy import PowerState
@@ -136,10 +138,14 @@ def batch_means(samples: Sequence[float], num_batches: int = 20) -> tuple[float,
             f"{arr.size} samples cannot fill {num_batches} batches"
         )
     means = arr[: num_batches * batch_size].reshape(num_batches, batch_size).mean(axis=1)
-    grand = float(means.mean())
-    t = float(stats.t.ppf(0.975, num_batches - 1))
-    halfwidth = t * float(means.std(ddof=1)) / math.sqrt(num_batches)
-    return grand, halfwidth
+    return float(means.mean()), _t_halfwidth(means)
+
+
+def _t_halfwidth(means: np.ndarray) -> float:
+    """95% Student-t half-width of the mean of ``means`` (at least 2 values)."""
+    num_batches = means.size
+    t = float(stdtrit(num_batches - 1, 0.975))
+    return t * float(means.std(ddof=1)) / math.sqrt(num_batches)
 
 
 def _power_window_means(
@@ -222,9 +228,7 @@ def summarize(record) -> RunResult:
     window_means = _power_window_means(
         record.timelines, config.power, warmup, horizon, config.num_batches
     )
-    per_server_means = window_means / config.num_servers
-    t = float(stats.t.ppf(0.975, config.num_batches - 1))
-    power_ci = t * float(per_server_means.std(ddof=1)) / math.sqrt(config.num_batches)
+    power_ci = _t_halfwidth(window_means / config.num_servers)
 
     fractions = [
         {state.value: frac for state, frac in state_fractions(tl, warmup, horizon).items()}

@@ -1,9 +1,15 @@
 """Metric-math tests: latency averaging, power integration, batch means."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import stdtrit
 
 from greenlb.cluster import PowerModel, Request
 from greenlb.engine import SimConfig, StopCriterion, simulate
@@ -118,6 +124,29 @@ class TestBatchMeans:
             if abs(mean - 1.0) <= hw:
                 covered += 1
         assert covered >= 90
+
+
+class TestStudentTQuantile:
+    def test_stdtrit_equals_stats_t_ppf(self):
+        # metrics takes the CI quantile from stdtrit; it must be the very
+        # float scipy.stats.t.ppf returns, so CI half-widths keep their repr
+        for df in range(1, 2000):
+            assert repr(float(stdtrit(df, 0.975))) == repr(float(stats.t.ppf(0.975, df)))
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # a fresh interpreter: this pytest process has scipy.stats loaded already
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys\n"
+            "import greenlb, greenlb.config, greenlb.cli\n"
+            "assert 'scipy.special' in sys.modules\n"
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSummarize:
