@@ -29,7 +29,6 @@ from .policy import (
     ServerSnapshot,
     UndefinedDesignParamError,
     UnknownIdentifierError,
-    compile_policy,
     evaluate,
     parse_policy,
     pretty_print,
@@ -71,7 +70,6 @@ __all__ = [
     "UnknownIdentifierError",
     "batch_means",
     "compare_tables",
-    "compile_policy",
     "compute_al",
     "compute_ap",
     "delta",

@@ -23,11 +23,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .events import EventKind, Scheduled
-from .policy import PowerState
+from .policy import PowerState, ServerSnapshot
 
-__all__ = ["ClusterInvariantError", "Request", "PowerModel", "Server", "Cluster"]
+__all__ = [
+    "ClusterInvariantError", "Request", "PowerModel", "server_snapshot", "Server", "Cluster",
+]
 
 
 class ClusterInvariantError(RuntimeError):
@@ -72,6 +75,31 @@ class PowerModel:
         if state is PowerState.SUSPEND:
             return self.p_suspend
         return self.p_wakeup
+
+
+def server_snapshot(
+    server_id: int,
+    num_servers: int,
+    queue_size: int,
+    power_state: PowerState,
+    power: PowerModel,
+    design_params: Mapping[str, float],
+) -> ServerSnapshot:
+    """What a policy sees of one server: its queue and state, and the run's constants."""
+    return ServerSnapshot(
+        id=server_id,
+        num_servers=num_servers,
+        queue_size=queue_size,
+        power_state=power_state,
+        power_on=power.p_on,
+        power_sleep=power.p_sleep,
+        power_suspend=power.p_suspend,
+        power_wakeup=power.p_wakeup,
+        time_wakeup=power.t_wakeup,
+        time_suspend=power.t_suspend,
+        timeout_time=power.timeout,
+        design_params=design_params,
+    )
 
 
 @dataclass(slots=True)

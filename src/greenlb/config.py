@@ -41,7 +41,7 @@ from pathlib import Path
 
 import yaml
 
-from .cluster import PowerModel
+from .cluster import PowerModel, server_snapshot
 from .design import DEFAULT_Q_VALUES, DEFAULT_TIMEOUT_VALUES, DesignSpace
 from .engine import SimConfig, StopCriterion
 from .policy import (
@@ -262,6 +262,11 @@ def load_config(path: str | Path) -> LoadedConfig:
             for v in values:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise ConfigError(f"'study.{key}' entries must be numbers")
+        # the bounds every Design enforces, checked before a sweep starts
+        if any(v < 0 for v in q_values):
+            raise ConfigError("'study.q' entries must be non-negative")
+        if not all(v > 0 for v in timeout_values):
+            raise ConfigError("'study.timeout' entries must be positive")
         study = DesignSpace(
             q_values=list(q_values),
             timeout_values=[float(v) for v in timeout_values],
@@ -321,20 +326,5 @@ def load_state_file(path: str | Path) -> tuple[list[ServerSnapshot], PowerModel,
         if queue_size < 0:
             raise ConfigError(f"'servers[{i}].queue_size' must be non-negative")
         state = _state_value(entry.get("state", "sleep"), f"servers[{i}].state")
-        snapshots.append(
-            ServerSnapshot(
-                id=i,
-                num_servers=n,
-                queue_size=queue_size,
-                power_state=state,
-                power_on=power.p_on,
-                power_sleep=power.p_sleep,
-                power_suspend=power.p_suspend,
-                power_wakeup=power.p_wakeup,
-                time_wakeup=power.t_wakeup,
-                time_suspend=power.t_suspend,
-                timeout_time=power.timeout,
-                design_params=design_params,
-            )
-        )
+        snapshots.append(server_snapshot(i, n, queue_size, state, power, design_params))
     return snapshots, power, design_params

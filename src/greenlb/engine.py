@@ -43,18 +43,17 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cluster import Cluster, PowerModel, Request
+from .cluster import Cluster, PowerModel, Request, server_snapshot
 from .events import EventKind
 from .policy import (
     EvaluationError,
     NdResolution,
     PolicyExpr,
     PowerState,
-    ServerSnapshot,
     UndefinedDesignParamError,
     break_ties,
-    compile_policy,
     draws_random,
+    evaluate,
     parse_policy,
     select_server,  # the reference pick; still importable from this module
 )
@@ -204,7 +203,6 @@ def simulate(config: SimConfig, trace_path: str | Path | None = None) -> Simulat
     cluster = Cluster(config.num_servers, config.power, config.service_time,
                       config.initial_state)
     servers = cluster.servers
-    evaluator = compile_policy(config.policy)
     n = config.num_servers
     rate = config.arrival_rate
     power, design_params = config.power, config.design_params
@@ -226,20 +224,8 @@ def simulate(config: SimConfig, trace_path: str | Path | None = None) -> Simulat
 
     def score(i: int) -> float:
         s = servers[i]
-        return evaluator(ServerSnapshot(
-            id=i,
-            num_servers=n,
-            queue_size=s.queue_size,
-            power_state=s.power_state,
-            power_on=power.p_on,
-            power_sleep=power.p_sleep,
-            power_suspend=power.p_suspend,
-            power_wakeup=power.p_wakeup,
-            time_wakeup=power.t_wakeup,
-            time_suspend=power.t_suspend,
-            timeout_time=power.timeout,
-            design_params=design_params,
-        ), policy_rng)
+        snapshot = server_snapshot(i, n, s.queue_size, s.power_state, power, design_params)
+        return evaluate(config.policy, snapshot, policy_rng)
 
     # injection bounds; inf where the stop criterion leaves one open
     max_req, max_vt = config.stop.max_requests, config.stop.max_virtual_time

@@ -43,7 +43,6 @@ __all__ = [
     "pretty_print",
     "format_ast",
     "evaluate",
-    "compile_policy",
     "select_server",
 ]
 
@@ -170,15 +169,14 @@ class BinOp(PolicyExpr):
 
 class LeafSpec(NamedTuple):
     label: str  # node name in format_ast output
-    value: Evaluator  # also the compiled form of the leaf
+    value: Evaluator
 
 
 def _state_is(state: PowerState) -> Evaluator:
     return lambda snap, rng: 1.0 if snap.power_state is state else 0.0
 
 
-# The policy vocabulary, keyed by canonical text.  The lambdas are the
-# compiled leaves themselves, so they read the snapshot directly.
+# The policy vocabulary, keyed by canonical text.
 LEAVES: dict[str, LeafSpec] = {
     "ID": LeafSpec("Id", lambda snap, rng: float(snap.id)),
     "numServers": LeafSpec("NumServers", lambda snap, rng: float(snap.num_servers)),
@@ -203,7 +201,7 @@ _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4
 class OpSpec(NamedTuple):
     label: str  # node name in format_ast output
     prec: int
-    apply: Callable[[float, float], float]  # used by the interpreter only
+    apply: Callable[[float, float], float]
 
 
 def _div(a: float, b: float) -> float:
@@ -442,8 +440,13 @@ def evaluate(expr: PolicyExpr, snap: ServerSnapshot, rng: Any) -> float:
         return LEAVES[expr.name].value(snap, rng)  # type: ignore[attr-defined]
     if t is IntLit:
         return float(expr.value)  # type: ignore[attr-defined]
-    if t is DSpace:  # a leaf whose value closure only the compiler builds
-        return compile_policy(expr)(snap, rng)
+    if t is DSpace:
+        try:
+            return float(snap.design_params[expr.name])  # type: ignore[attr-defined]
+        except KeyError:
+            raise UndefinedDesignParamError(
+                f"design parameter {expr.name!r} is not defined for this run"  # type: ignore[attr-defined]
+            ) from None
     if t is Neg:
         return -evaluate(expr.operand, snap, rng)  # type: ignore[attr-defined]
     if t is not BinOp or expr.op not in OPERATORS:  # type: ignore[attr-defined]
@@ -451,70 +454,6 @@ def evaluate(expr: PolicyExpr, snap: ServerSnapshot, rng: Any) -> float:
     left = evaluate(expr.left, snap, rng)  # type: ignore[attr-defined]
     right = evaluate(expr.right, snap, rng)  # type: ignore[attr-defined]
     return OPERATORS[expr.op].apply(left, right)  # type: ignore[attr-defined]
-
-
-def compile_policy(expr: PolicyExpr) -> Evaluator:
-    """Compile an AST into a closure ``f(snapshot, rng) -> float``.
-
-    Same semantics (and random-draw order) as :func:`evaluate`; used on the
-    simulator's hot path where re-walking the tree per request would dominate.
-    Every node is one closure with its arithmetic inline: a shared helper
-    per node would add a call level to every evaluation.
-    """
-    t = type(expr)
-    if t is Leaf:
-        return LEAVES[expr.name].value  # type: ignore[attr-defined]
-    if t is IntLit:
-        value = float(expr.value)  # type: ignore[attr-defined]
-        return lambda snap, rng: value
-    if t is DSpace:
-        name = expr.name  # type: ignore[attr-defined]
-
-        def dspace_leaf(snap: ServerSnapshot, rng: Any) -> float:
-            try:
-                return float(snap.design_params[name])
-            except KeyError:
-                raise UndefinedDesignParamError(
-                    f"design parameter {name!r} is not defined for this run"
-                ) from None
-
-        return dspace_leaf
-    if t is Neg:
-        inner = compile_policy(expr.operand)  # type: ignore[attr-defined]
-        return lambda snap, rng: -inner(snap, rng)
-    if t is not BinOp or expr.op not in OPERATORS:  # type: ignore[attr-defined]
-        raise TypeError(f"not a policy expression: {expr!r}")
-    left = compile_policy(expr.left)  # type: ignore[attr-defined]
-    right = compile_policy(expr.right)  # type: ignore[attr-defined]
-    op = expr.op  # type: ignore[attr-defined]
-    if op == "+":
-        return lambda snap, rng: left(snap, rng) + right(snap, rng)
-    if op == "-":
-        return lambda snap, rng: left(snap, rng) - right(snap, rng)
-    if op == "*":
-        return lambda snap, rng: left(snap, rng) * right(snap, rng)
-    if op == "/":
-
-        def div(snap: ServerSnapshot, rng: Any) -> float:
-            a = left(snap, rng)
-            b = right(snap, rng)
-            if b == 0.0:
-                raise EvaluationError("division by zero")
-            return a / b
-
-        return div
-
-    def mod(snap: ServerSnapshot, rng: Any) -> float:
-        a = left(snap, rng)
-        b = right(snap, rng)
-        if b == 0.0:
-            raise EvaluationError("mod by zero")
-        try:
-            return math.fmod(a, b)
-        except ValueError:
-            raise EvaluationError("mod of an infinite dividend") from None
-
-    return mod
 
 
 # --- Server selection --------------------------------------------------
@@ -556,7 +495,6 @@ def select_server(
     snaps: Sequence[ServerSnapshot],
     nd: NdResolution,
     rng: Any,
-    evaluator: Evaluator | None = None,
 ) -> int:
     """Pick the target server: argmax of the policy value after tie resolution.
 
@@ -571,9 +509,6 @@ def select_server(
     scores every snapshot and draws one ``rng.random()`` per fraction.  The
     simulator keeps per-server scores between arrivals instead and draws the
     same fractions as one block, which picks the same server.
-
-    ``evaluator`` may supply a precompiled closure for ``expr``; semantics
-    are identical to :func:`evaluate`.
     """
     if not snaps:
         raise ValueError("select_server requires at least one snapshot")
@@ -581,10 +516,7 @@ def select_server(
     n = len(ordered)
     if [s.id for s in ordered] != list(range(n)):
         raise ValueError("snapshots must carry ids 0..n-1, each exactly once")
-    ev = evaluator
-    if ev is None:
-        ev = lambda snap, r: evaluate(expr, snap, r)
-    values = [ev(snap, rng) for snap in ordered]
+    values = [evaluate(expr, snap, rng) for snap in ordered]
     if nd is NdResolution.RANDOM_FRACTION:
         fractions = [float(rng.random()) for _ in range(n)]
     else:

@@ -149,6 +149,16 @@ class TestLoadConfig:
                 policy: {expression: '0', nd: coin_flip}
             """, name="c2.yaml"))
 
+    @pytest.mark.parametrize("key, values", [("q", "[-1, 5]"), ("timeout", "[0, 10]")])
+    def test_out_of_range_study_values_rejected_at_load(self, tmp_path, key, values):
+        # a sweep would otherwise start and fail on its first design
+        with pytest.raises(ConfigError, match=rf"'study\.{key}'"):
+            load_config(write(tmp_path, f"""
+                schema_version: 1
+                policy: {{expression: '0'}}
+                study: {{{key}: {values}}}
+            """))
+
     def test_stop_requires_known_keys(self, tmp_path):
         with pytest.raises(ConfigError, match="max_request"):
             load_config(write(tmp_path, """

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import greenlb.cluster
 import greenlb.engine
 from greenlb.cluster import PowerModel
 from greenlb.engine import (
@@ -384,18 +385,13 @@ class TestSelection:
     def counted_evaluations(monkeypatch, cfg) -> float:
         """Policy evaluations per arrival over one run of ``cfg``."""
         calls = [0]
-        compile_policy = greenlb.engine.compile_policy
+        evaluate = greenlb.engine.evaluate
 
-        def counting_compile(expr):
-            evaluator = compile_policy(expr)
+        def counted(expr, snap, rng):
+            calls[0] += 1
+            return evaluate(expr, snap, rng)
 
-            def counted(snap, rng):
-                calls[0] += 1
-                return evaluator(snap, rng)
-
-            return counted
-
-        monkeypatch.setattr(greenlb.engine, "compile_policy", counting_compile)
+        monkeypatch.setattr(greenlb.engine, "evaluate", counted)
         record = simulate(cfg)
         return calls[0] / len(record.requests)
 
@@ -420,7 +416,7 @@ class TestSelection:
             built.append((fields["id"], fields["queue_size"], fields["power_state"]))
             return ServerSnapshot(**fields)
 
-        monkeypatch.setattr(greenlb.engine, "ServerSnapshot", counting_snapshot)
+        monkeypatch.setattr(greenlb.cluster, "ServerSnapshot", counting_snapshot)
         cfg = config(num_servers=1, arrival_rate=0.5, power=PowerModel(timeout=1.0),
                      stop=StopCriterion(max_requests=2000), seed=1)
         path = tmp_path / "trace.csv"

@@ -19,7 +19,6 @@ from greenlb.policy import (
     ServerSnapshot,
     UndefinedDesignParamError,
     UnknownIdentifierError,
-    compile_policy,
     evaluate,
     format_ast,
     parse_policy,
@@ -198,24 +197,18 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("policy", ["timeOutTime mod 3", "-timeOutTime mod 3"])
     def test_mod_of_infinite_dividend(self, policy):
-        # math.fmod raises a bare ValueError here; both evaluators wrap it
-        expr = parse_policy(policy)
-        s = snap(timeout_time=math.inf)
+        # math.fmod raises a bare ValueError here; evaluate wraps it
         with pytest.raises(EvaluationError, match="infinite dividend"):
-            evaluate(expr, s, None)
-        with pytest.raises(EvaluationError, match="infinite dividend"):
-            compile_policy(expr)(s, None)
+            evaluate(parse_policy(policy), snap(timeout_time=math.inf), None)
 
     def test_mod_sign_follows_dividend(self):
         assert evaluate(parse_policy("-7 mod 3"), snap(), None) == math.fmod(-7, 3) == -1.0
         assert evaluate(parse_policy("7 mod -3"), snap(), None) == 1.0
 
-    def test_compiled_matches_interpreted(self):
+    def test_threshold_policy_with_random_leaf(self):
         expr = parse_policy('-queueSize - dspace("q") * (1 - stateOn) + random')
         s = snap(queue=3, state=PowerState.SLEEP, design_params={"q": 5.0})
-        a = evaluate(expr, s, ScriptedRng([0.125]))
-        b = compile_policy(expr)(s, ScriptedRng([0.125]))
-        assert a == b == -8.0 + 0.125
+        assert evaluate(expr, s, ScriptedRng([0.125])) == -8.0 + 0.125
 
 
 # One row per vocabulary leaf: its value on LEAF_SNAP (with the random leaf
@@ -249,7 +242,6 @@ def test_leaf_table(name):
     assert ast == Leaf(name)
     s = snap(**LEAF_SNAP)
     assert evaluate(ast, s, ScriptedRng([0.375])) == value
-    assert compile_policy(ast)(s, ScriptedRng([0.375])) == value
     assert pretty_print(ast) == name
     assert format_ast(ast) == label
 

@@ -1,7 +1,5 @@
 """Property tests for the policy language."""
 
-import math
-
 import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -18,7 +16,7 @@ from greenlb.policy import (
     Neg,
     PowerState,
     ServerSnapshot,
-    compile_policy,
+    draws_random,
     evaluate,
     parse_policy,
     pretty_print,
@@ -56,20 +54,37 @@ def test_pretty_print_round_trip(ast):
     assert parse_policy(pretty_print(ast)) == ast
 
 
+def _random_leaves(ast) -> int:
+    if isinstance(ast, Leaf):
+        return int(ast.name == "random")
+    children = [getattr(ast, f) for f in ("operand", "left", "right") if hasattr(ast, f)]
+    return sum(map(_random_leaves, children))
+
+
+class CountingRng:
+    """A seeded generator that counts its draws."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self._rng.random()
+
+
 @given(ASTS, SNAPSHOTS, st.integers(min_value=0, max_value=2**32 - 1))
-def test_compiled_equals_interpreted(ast, snap, seed):
-    rng_a = np.random.default_rng(seed)
-    rng_b = np.random.default_rng(seed)
+def test_evaluation_draws_once_per_random_leaf(ast, snap, seed):
+    # the engine's memo scores a policy once per server state exactly when
+    # draws_random says the policy draws nothing
+    leaves = _random_leaves(ast)
+    assert draws_random(ast) == (leaves > 0)
+    rng = CountingRng(seed)
     try:
-        a = evaluate(ast, snap, rng_a)
+        evaluate(ast, snap, rng)
     except EvaluationError:
-        try:
-            compile_policy(ast)(snap, rng_b)
-        except EvaluationError:
-            return
-        raise AssertionError("interpreter raised but compiled form did not")
-    b = compile_policy(ast)(snap, rng_b)
-    assert a == b or (math.isnan(a) and math.isnan(b))
+        return
+    assert rng.draws == leaves
 
 
 def _queue_cluster(queues):
