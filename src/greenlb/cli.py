@@ -98,7 +98,7 @@ def cmd_parse(policy_path: str | None, expr: str | None) -> None:
 @click.option("--expr", help="Policy text given inline.")
 @click.option("--state", "state_path", type=click.Path(), required=True,
               help="Server snapshot file (YAML).")
-@click.option("--nd", type=click.Choice(["random", "fixed_order"]), default="random",
+@click.option("--nd", type=click.Choice([m.value for m in NdResolution]), default="random",
               show_default=True, help="Tie resolution mode.")
 @click.option("--seed", type=int, default=1, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of text.")
@@ -106,7 +106,7 @@ def cmd_eval(policy_path, expr, state_path, nd, seed, as_json) -> None:
     """Evaluate a policy against a snapshot file and show the selection."""
     try:
         ast = parse_policy(_read_policy(policy_path, expr))
-        snaps, _, _ = config_mod.load_state_file(state_path)
+        snaps = config_mod.load_state_file(state_path)
         mode = NdResolution(nd)
         # Two identically seeded streams: the displayed values consume the
         # same evaluation draws the selection pass sees.

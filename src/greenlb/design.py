@@ -53,7 +53,7 @@ class Design:
     nd: NdResolution
 
     def __post_init__(self):
-        if self.q < 0:
+        if not self.q >= 0:  # false for NaN too
             raise ValueError("q must be non-negative")
         if not self.timeout > 0:
             raise ValueError("timeout must be positive")

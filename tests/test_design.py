@@ -1,6 +1,7 @@
 """Design-space enumeration and sweep determinism tests."""
 
 import io
+import math
 
 import pytest
 
@@ -68,6 +69,8 @@ class TestEnumeration:
     def test_design_validation(self):
         with pytest.raises(ValueError):
             Design(q=-1, timeout=1.0, nd=RANDOM)
+        with pytest.raises(ValueError):
+            Design(q=math.nan, timeout=1.0, nd=RANDOM)
         with pytest.raises(ValueError):
             Design(q=1, timeout=0.0, nd=RANDOM)
 
