@@ -272,6 +272,10 @@ def load_state_file(path: str | Path) -> list[ServerSnapshot]:
     if not isinstance(servers_raw, list) or not servers_raw:
         raise ConfigError("'servers' must be a non-empty list")
     power = PowerModel(**_fields(doc.get("power"), "power", _POWER))
+    try:
+        power.validate()
+    except ValueError as exc:
+        raise ConfigError(f"'power': {exc}") from None
     design_params = _design_params(doc.get("design"), "design")
 
     snapshots = []

@@ -8,6 +8,10 @@ window ``[warmup, horizon]``:
 * average power: time integral of the per-state power draw over the window,
   reported per server and as the cluster total.
 
+The time-in-state integral is one walk over each timeline against sorted
+window edges (:func:`window_durations`); the metrics window, the power batch
+windows and the state fractions are all read from such walks.
+
 Confidence intervals come from the batch means method, Student-t at 95%.
 The t quantile is ``scipy.special.stdtrit``, the function ``scipy.stats.t.ppf``
 itself calls, so importing greenlb does not import ``scipy.stats``.
@@ -32,8 +36,7 @@ __all__ = [
     "AveragePower",
     "RunResult",
     "compute_al",
-    "state_durations",
-    "state_fractions",
+    "window_durations",
     "compute_ap",
     "batch_means",
     "summarize",
@@ -42,6 +45,7 @@ __all__ = [
 ]
 
 STATE_ORDER = (PowerState.ON, PowerState.SUSPEND, PowerState.SLEEP, PowerState.WAKEUP)
+Timeline = Sequence[tuple[float, PowerState]]  # gapless (enter_time, state) from t=0
 
 
 class MetricsError(ValueError):
@@ -73,31 +77,29 @@ def compute_al(requests: Sequence[Request], warmup: float) -> float:
     return float(np.mean(latencies))
 
 
-def state_durations(
-    timeline: Sequence[tuple[float, PowerState]], start: float, end: float
-) -> dict[PowerState, float]:
-    """Seconds spent in each state within [start, end].
+def window_durations(
+    timeline: Timeline, edges: Sequence[float]
+) -> list[dict[PowerState, float]]:
+    """Seconds spent in each state within each window [edges[k], edges[k+1]].
 
-    The timeline is a gapless (enter_time, state) list from t=0; the final
-    state extends indefinitely.
+    ``edges`` is sorted; the final state extends indefinitely and an empty
+    window gets zeros.  One pass over the segments with a pointer into the
+    edges: each window adds the same overlaps, in the same order, as a walk
+    over that window alone.
     """
-    if end <= start:
-        raise MetricsError(f"empty window: [{start}, {end}]")
-    durations = {state: 0.0 for state in STATE_ORDER}
+    windows = [dict.fromkeys(STATE_ORDER, 0.0) for _ in edges[1:]]
+    first = 0  # windows before it end at or before the current segment's start
     for i, (seg_start, state) in enumerate(timeline):
-        seg_end = timeline[i + 1][0] if i + 1 < len(timeline) else end
-        overlap = min(seg_end, end) - max(seg_start, start)
-        if overlap > 0:
-            durations[state] += overlap
-    return durations
-
-
-def state_fractions(
-    timeline: Sequence[tuple[float, PowerState]], start: float, end: float
-) -> dict[PowerState, float]:
-    """Share of [start, end] spent in each state; the shares sum to 1."""
-    width = end - start
-    return {s: d / width for s, d in state_durations(timeline, start, end).items()}
+        seg_end = timeline[i + 1][0] if i + 1 < len(timeline) else math.inf
+        while first < len(windows) and edges[first + 1] <= seg_start:
+            first += 1
+        k = first
+        while k < len(windows) and edges[k] < seg_end:
+            overlap = min(seg_end, edges[k + 1]) - max(seg_start, edges[k])
+            if overlap > 0:
+                windows[k][state] += overlap
+            k += 1
+    return windows
 
 
 class AveragePower(NamedTuple):
@@ -105,21 +107,24 @@ class AveragePower(NamedTuple):
     per_server_w: float
 
 
+def _average_power(durations, power: PowerModel, start: float, end: float) -> AveragePower:
+    """Power averaged over [start, end], from each server's seconds per state in it."""
+    if end <= start:
+        raise MetricsError(f"empty power window: horizon {end} <= warmup {start}")
+    energy = 0.0
+    for server in durations:
+        for state, seconds in server.items():
+            energy += seconds * power.power_in(state)
+    total = energy / (end - start)
+    return AveragePower(total_w=total, per_server_w=total / len(durations))
+
+
 def compute_ap(
-    timelines: Sequence[Sequence[tuple[float, PowerState]]],
-    power: PowerModel,
-    warmup: float,
-    horizon: float,
+    timelines: Sequence[Timeline], power: PowerModel, warmup: float, horizon: float
 ) -> AveragePower:
     """Time-averaged power over [warmup, horizon], total and per server."""
-    if horizon <= warmup:
-        raise MetricsError(f"empty power window: horizon {horizon} <= warmup {warmup}")
-    energy = 0.0
-    for timeline in timelines:
-        for state, duration in state_durations(timeline, warmup, horizon).items():
-            energy += duration * power.power_in(state)
-    total = energy / (horizon - warmup)
-    return AveragePower(total_w=total, per_server_w=total / len(timelines))
+    durations = [window_durations(tl, (warmup, horizon))[0] for tl in timelines]
+    return _average_power(durations, power, warmup, horizon)
 
 
 def batch_means(samples: Sequence[float], num_batches: int = 20) -> tuple[float, float]:
@@ -148,17 +153,6 @@ def _t_halfwidth(means: np.ndarray) -> float:
     return t * float(means.std(ddof=1)) / math.sqrt(num_batches)
 
 
-def _power_window_means(
-    timelines, power: PowerModel, warmup: float, horizon: float, num_batches: int
-) -> np.ndarray:
-    """Cluster power averaged over each of ``num_batches`` equal time windows."""
-    edges = np.linspace(warmup, horizon, num_batches + 1)
-    return np.array([
-        compute_ap(timelines, power, float(edges[b]), float(edges[b + 1])).total_w
-        for b in range(num_batches)
-    ])
-
-
 @dataclass(slots=True)
 class RunResult:
     """Summary of one run over its metrics window.
@@ -184,7 +178,7 @@ class RunResult:
 
     def to_dict(self) -> dict:
         return {
-            "avg_latency_s": _none_if_nan(self.avg_latency_s),
+            "avg_latency_s": None if math.isnan(self.avg_latency_s) else self.avg_latency_s,
             "latency_ci_halfwidth": self.latency_ci_halfwidth,
             "avg_power_per_server_w": self.avg_power_per_server_w,
             "total_power_w": self.total_power_w,
@@ -197,10 +191,6 @@ class RunResult:
             "num_servers": self.num_servers,
             "estimator": "finite-window batch-means approximation of the long-run averages",
         }
-
-
-def _none_if_nan(x: float):
-    return None if math.isnan(x) else x
 
 
 def summarize(record) -> RunResult:
@@ -224,16 +214,19 @@ def summarize(record) -> RunResult:
         avg_latency = math.nan
         latency_ci = None
 
-    ap = compute_ap(record.timelines, config.power, warmup, horizon)
-    window_means = _power_window_means(
-        record.timelines, config.power, warmup, horizon, config.num_batches
-    )
+    # two walks per timeline: the metrics window, then the power batch windows
+    durations = [window_durations(tl, (warmup, horizon))[0] for tl in record.timelines]
+    ap = _average_power(durations, config.power, warmup, horizon)
+    edges = np.linspace(warmup, horizon, config.num_batches + 1).tolist()
+    batches = [window_durations(tl, edges) for tl in record.timelines]
+    window_means = np.array([
+        _average_power([b[k] for b in batches], config.power, edges[k], edges[k + 1]).total_w
+        for k in range(config.num_batches)
+    ])
     power_ci = _t_halfwidth(window_means / config.num_servers)
 
-    fractions = [
-        {state.value: frac for state, frac in state_fractions(tl, warmup, horizon).items()}
-        for tl in record.timelines
-    ]
+    width = horizon - warmup
+    fractions = [{s.value: seconds / width for s, seconds in d.items()} for d in durations]
     completed = sum(1 for req in record.requests if req.completion is not None)
     return RunResult(
         avg_latency_s=avg_latency,

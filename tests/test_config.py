@@ -214,6 +214,19 @@ class TestLoadStateFile:
                 servers: [{queue_size: 0, state: hibernating}]
             """))
 
+    @pytest.mark.parametrize("power, message", [
+        ("{timeout_s: 0}", "timeout must be positive"),
+        ("{sleep_w: -1}", "p_sleep must be non-negative"),
+    ])
+    def test_power_model_is_validated(self, tmp_path, power, message):
+        # the same checks a run config's power section gets
+        with pytest.raises(ConfigError, match=rf"^'power': .*{message}"):
+            load_state_file(write(tmp_path, f"""
+                schema_version: 1
+                power: {power}
+                servers: [{{queue_size: 0}}]
+            """))
+
 
 POLICY = "policy: {expression: '0'}"
 SERVERS = "servers: [{queue_size: 0}]"

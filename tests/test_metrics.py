@@ -8,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import stdtrit
 
+from greenlb import metrics
 from greenlb.cluster import PowerModel, Request
 from greenlb.engine import SimConfig, StopCriterion, simulate
 from greenlb.metrics import (
@@ -23,7 +26,7 @@ from greenlb.metrics import (
     compute_ap,
     csv_header,
     csv_row,
-    state_fractions,
+    window_durations,
 )
 from greenlb.policy import PowerState, parse_policy
 
@@ -87,9 +90,60 @@ class TestAveragePower:
         timeline = [(0.0, PowerState.ON), (5.0, PowerState.SUSPEND),
                     (15.0, PowerState.SLEEP), (40.0, PowerState.WAKEUP),
                     (50.0, PowerState.ON)]
-        fracs = state_fractions(timeline, 0.0, 60.0)
+        fracs = {s: d / 60.0 for s, d in window_durations(timeline, (0.0, 60.0))[0].items()}
         assert sum(fracs.values()) == pytest.approx(1.0)
         assert fracs[PowerState.SLEEP] == pytest.approx(25 / 60)
+
+
+def walk_one_window(timeline, start, end):
+    """Reference: the single-window loop ``window_durations`` replaced, one
+    full pass over the timeline per window.  It has no empty-window guard, so
+    an empty window gets zeros here too."""
+    durations = {state: 0.0 for state in metrics.STATE_ORDER}
+    for i, (seg_start, state) in enumerate(timeline):
+        seg_end = timeline[i + 1][0] if i + 1 < len(timeline) else end
+        overlap = min(seg_end, end) - max(seg_start, start)
+        if overlap > 0:
+            durations[state] += overlap
+    return durations
+
+
+# Transition times on a coarse grid repeat (zero-length segments) and edges
+# drawn from the same grid land on segment starts and on each other (equal
+# edges); edges run from before t=0 to past the last transition.
+GRID = st.integers(min_value=-4, max_value=48).map(lambda i: i * 0.25)
+TIMES = st.one_of(GRID.filter(lambda t: t >= 0), st.floats(0.0, 12.0))
+EDGES = st.one_of(GRID, st.floats(-1.0, 14.0))
+
+
+@st.composite
+def timelines(draw):
+    times = sorted(draw(st.lists(TIMES, max_size=12)))
+    states = draw(st.lists(st.sampled_from(metrics.STATE_ORDER),
+                           min_size=len(times) + 1, max_size=len(times) + 1))
+    return list(zip([0.0, *times], states))
+
+
+SLEEP_THEN_ON = [(0.0, PowerState.SLEEP), (3.0, PowerState.WAKEUP),
+                 (3.0, PowerState.ON), (8.0, PowerState.SUSPEND)]
+
+
+class TestWindowDurations:
+    @given(timelines(), st.lists(EDGES, min_size=2, max_size=12).map(sorted))
+    @example(SLEEP_THEN_ON, [0.0, 1.0, 2.0])  # windows before the first transition
+    @example(SLEEP_THEN_ON, [3.0, 3.0, 5.0, 8.0])  # edges on segment starts, equal edges
+    @example(SLEEP_THEN_ON, [9.0, 10.0, 12.5])  # windows after the last transition
+    @example(SLEEP_THEN_ON, [-2.0, -1.0, 20.0])  # a window before t=0
+    @example([(0.0, PowerState.ON)], [0.0, 1e-300, 5.0])
+    def test_each_window_equals_a_walk_over_it_alone(self, timeline, edges):
+        windows = window_durations(timeline, edges)
+        assert len(windows) == len(edges) - 1
+        for k, got in enumerate(windows):
+            assert repr(got) == repr(walk_one_window(timeline, edges[k], edges[k + 1]))
+
+    def test_empty_window_gets_zeros(self):
+        windows = window_durations(SLEEP_THEN_ON, [3.0, 3.0])
+        assert windows == [{state: 0.0 for state in metrics.STATE_ORDER}]
 
 
 class TestBatchMeans:
@@ -211,6 +265,45 @@ class TestSummarize:
         record = self.run_record(stop=StopCriterion(max_requests=3), warmup=500.0)
         with pytest.raises(MetricsError):
             summarize(record)
+
+    def test_ap_equals_compute_ap_bit_for_bit(self):
+        record = self.run_record(power=PowerModel(timeout=1.0))
+        result = summarize(record)
+        ap = compute_ap(record.timelines, record.config.power, record.config.warmup,
+                        record.horizon)
+        assert (result.total_power_w, result.avg_power_per_server_w) == ap
+
+    def test_power_ci_is_the_t_halfwidth_of_single_window_powers(self):
+        record = self.run_record(power=PowerModel(timeout=1.0))
+        config = record.config
+        edges = np.linspace(config.warmup, record.horizon, config.num_batches + 1)
+        window_power = [
+            compute_ap(record.timelines, config.power, float(edges[k]), float(edges[k + 1]))
+            .total_w / config.num_servers
+            for k in range(config.num_batches)
+        ]
+        assert summarize(record).power_ci_halfwidth == \
+            metrics._t_halfwidth(np.array(window_power))
+
+    def test_zero_width_batch_window_is_an_error(self):
+        # the horizon is one ulp past the warm-up, so linspace repeats an edge
+        record = self.run_record(
+            stop=StopCriterion(max_requests=10**6, max_virtual_time=math.nextafter(500, math.inf)),
+            warmup=500.0)
+        with pytest.raises(MetricsError, match="empty power window"):
+            summarize(record)
+
+    def test_walks_each_timeline_twice(self, monkeypatch):
+        calls = []
+
+        def counted(timeline, edges):
+            calls.append(len(edges) - 1)
+            return window_durations(timeline, edges)
+
+        monkeypatch.setattr(metrics, "window_durations", counted)
+        summarize(self.run_record())
+        # the metrics window once, the 20 power batch windows once
+        assert sorted(calls) == [1] * 4 + [20] * 4
 
     def test_csv_row_matches_header(self):
         result = summarize(self.run_record())
