@@ -70,11 +70,12 @@ cfg = SimConfig(
 )
 record = simulate(cfg)
 oracle = replay_oracle(
-    [r.arrival_time for r in record.requests],
-    [r.assigned_server for r in record.requests],
+    record.requests.arrival,
+    record.requests.server,
     cfg.num_servers, cfg.power, cfg.service_time, cfg.initial_state,
 )
-engine_latencies = [r.completion - r.arrival_time for r in record.requests]
+engine_latencies = [c - a for a, c in zip(record.requests.arrival,
+                                          record.requests.completion)]
 exact = oracle.latencies == engine_latencies
 engine_integral = (compute_ap(record.timelines, cfg.power, 0.0, record.horizon).total_w
                    * record.horizon)

@@ -2,7 +2,7 @@
 latency/power trade-off of load-balancing policies over power-managed servers.
 """
 
-from .cluster import Cluster, ClusterInvariantError, PowerModel, Request, Server
+from .cluster import Cluster, ClusterInvariantError, PowerModel, Request, RequestLog, Server
 from .design import (
     DEFAULT_Q_VALUES,
     DEFAULT_TIMEOUT_VALUES,
@@ -60,6 +60,7 @@ __all__ = [
     "PowerModel",
     "PowerState",
     "Request",
+    "RequestLog",
     "RunResult",
     "Server",
     "ServerSnapshot",

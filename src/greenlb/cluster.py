@@ -16,12 +16,18 @@ Each server owns an unbounded FIFO queue, serves one request at a time
 
 Transitions are communicated to the event loop as :class:`Scheduled` items;
 armed timeouts are cancelled lazily via a per-server token.
+
+The cluster keeps the run's requests in a :class:`RequestLog`: one row per
+arrival, appended when the request is assigned, with its completion time
+written when its service ends.  Queues hold row indices, not objects.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -29,7 +35,8 @@ from .events import EventKind, Scheduled
 from .policy import PowerState, ServerSnapshot
 
 __all__ = [
-    "ClusterInvariantError", "Request", "PowerModel", "server_snapshot", "Server", "Cluster",
+    "ClusterInvariantError", "Request", "RequestLog", "PowerModel", "server_snapshot", "Server",
+    "Cluster",
 ]
 
 
@@ -39,13 +46,65 @@ class ClusterInvariantError(RuntimeError):
 
 @dataclass(slots=True)
 class Request:
-    """One incoming request, from arrival to completion."""
+    """One incoming request, from arrival to completion.
+
+    A run records its requests as a :class:`RequestLog`, which builds these
+    on demand; ``service_start`` is not recorded there and reads ``None``.
+    """
 
     arrival_time: float
     index: int
     assigned_server: int | None = None
     service_start: float | None = None
     completion: float | None = None
+
+
+class RequestLog(Sequence):
+    """A run's requests as three columns, in arrival order.
+
+    ``arrival`` and ``completion`` are ``array('d')`` of times and ``server``
+    an ``array('l')`` of server ids.  NaN in ``completion`` means "not
+    completed" and -1 in ``server`` "not assigned".  As a read-only sequence
+    its items are :class:`Request` objects built on demand, with those
+    markers read back as ``None``.
+    """
+
+    __slots__ = ("arrival", "server", "completion")
+
+    def __init__(self, arrival=(), server=(), completion=()):
+        self.arrival = array("d", arrival)
+        self.server = array("l", server)
+        self.completion = array("d", completion)
+
+    @classmethod
+    def from_requests(cls, requests: Sequence[Request]) -> RequestLog:
+        """The columns of a list of requests, in list order."""
+        return cls([r.arrival_time for r in requests],
+                   [-1 if r.assigned_server is None else r.assigned_server for r in requests],
+                   [math.nan if r.completion is None else r.completion for r in requests])
+
+    def append(self, arrival_time: float, server: int) -> None:
+        """Add a request that arrived at ``arrival_time`` on ``server``, not yet completed."""
+        self.arrival.append(arrival_time)
+        self.server.append(server)
+        self.completion.append(math.nan)
+
+    def __len__(self) -> int:
+        return len(self.arrival)
+
+    def __getitem__(self, i):
+        picked = range(len(self.arrival))[i]  # a list's index rules and errors
+        if isinstance(picked, range):
+            return [self._request(j) for j in picked]
+        return self._request(picked)
+
+    def __iter__(self) -> Iterator[Request]:
+        return map(self._request, range(len(self.arrival)))
+
+    def _request(self, index: int) -> Request:
+        server, completion = self.server[index], self.completion[index]
+        return Request(self.arrival[index], index, None if server < 0 else server,
+                       completion=None if math.isnan(completion) else completion)
 
 
 @dataclass(slots=True)
@@ -108,8 +167,8 @@ class Server:
 
     id: int
     power_state: PowerState
-    queue: deque = field(default_factory=deque)
-    in_service: Request | None = None
+    queue: deque = field(default_factory=deque)  # request indices, FIFO
+    in_service: int | None = None  # request index
     pending_arrival_during_suspend: bool = False
     timeout_token: int = 0
     timeline: list = field(default_factory=list)  # [(enter_time, PowerState)]
@@ -143,6 +202,7 @@ class Cluster:
             Server(i, initial_state, timeline=[(0.0, initial_state)])
             for i in range(num_servers)
         ]
+        self.requests = RequestLog()
 
     @property
     def num_servers(self) -> int:
@@ -158,10 +218,11 @@ class Cluster:
 
     # -- event handlers ------------------------------------------------
 
-    def on_request_assigned(self, server_id: int, req: Request, now: float) -> list[Scheduled]:
-        """Accept a request on its assigned server and react per power state."""
+    def on_request_assigned(self, server_id: int, now: float) -> list[Scheduled]:
+        """Log a request arriving now on its assigned server and react per power state."""
         server = self.servers[server_id]
-        req.assigned_server = server_id
+        req = len(self.requests)
+        self.requests.append(now, server_id)
         state = server.power_state
         if state is PowerState.ON:
             if server.in_service is None:
@@ -182,7 +243,7 @@ class Cluster:
         server = self.servers[server_id]
         if server.in_service is None:
             raise ClusterInvariantError(f"server {server_id}: completion while idle")
-        server.in_service.completion = now
+        self.requests.completion[server.in_service] = now
         server.in_service = None
         if server.queue:
             return [self._start_service(server, server.queue.popleft(), now)]
@@ -232,11 +293,10 @@ class Cluster:
 
     # -- internals -------------------------------------------------------
 
-    def _start_service(self, server: Server, req: Request, now: float) -> Scheduled:
+    def _start_service(self, server: Server, req: int, now: float) -> Scheduled:
         if server.power_state is not PowerState.ON:
             raise ClusterInvariantError(f"server {server.id}: serving while not on")
         server.in_service = req
-        req.service_start = now
         return Scheduled(EventKind.SERVICE_COMPLETE, server.id, now + self.service_time)
 
     def _arm_timeout(self, server: Server, now: float) -> list[Scheduled]:

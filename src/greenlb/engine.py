@@ -28,6 +28,12 @@ The loop itself is flat: heap entries are ``(time, kind, seq, server,
 token)`` tuples, each cluster handler is bound once per run, and the
 :class:`Scheduled` tuples a handler returns are unpacked straight into heap
 pushes.
+
+No object is built per request.  The cluster's arrival handler appends the
+request to a :class:`~greenlb.cluster.RequestLog`, three flat columns of
+arrival time, assigned server and completion time, and the servers' queues
+hold row indices.  The log is the record's ``requests``; it also reads as a
+sequence of :class:`~greenlb.cluster.Request` objects built on demand.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -148,7 +154,9 @@ class SimulationRecord:
     """Raw outcome of one run, before metric aggregation."""
 
     config: SimConfig
-    requests: list  # all injected requests, arrival order, all completed
+    # all injected requests in arrival order, all completed: a RequestLog from
+    # simulate, or a hand-made list of Request
+    requests: Sequence[Request]
     timelines: list  # per server: [(enter_time, PowerState)]
     horizon: float  # end of the metrics window
     assignment_counts: list
@@ -242,7 +250,6 @@ def simulate(config: SimConfig, trace_path: str | Path | None = None) -> Simulat
         heapq.heappush(heap, (t0, _ARRIVAL, seq, -1, 0))
         seq += 1
 
-    requests: list[Request] = []
     counts = [0] * n
     injected = completed = 0
     clock = 0.0
@@ -289,11 +296,9 @@ def simulate(config: SimConfig, trace_path: str | Path | None = None) -> Simulat
                 dirty.clear()
                 target = break_ties(scores, take(n) if fixed_fractions is None
                                     else fixed_fractions)
-                req = Request(time, injected)
-                requests.append(req)
                 injected += 1
                 counts[target] += 1
-                for k, server, t, tok in assign(target, req, time):
+                for k, server, t, tok in assign(target, time):
                     heappush(heap, (t, k, seq, server, tok))
                     seq += 1
                 dirty_add(target)
@@ -330,7 +335,7 @@ def simulate(config: SimConfig, trace_path: str | Path | None = None) -> Simulat
     horizon = max_vt if max_vt is not None else clock
     return SimulationRecord(
         config=config,
-        requests=requests,
+        requests=cluster.requests,
         timelines=cluster.timelines(),
         horizon=horizon,
         assignment_counts=counts,

@@ -4,7 +4,9 @@ Both headline numbers are long-run averages approximated over a finite
 window ``[warmup, horizon]``:
 
 * average latency: mean completion-minus-arrival time over requests that
-  arrive after the warm-up cut;
+  arrive after the warm-up cut, taken by array arithmetic on the columns of
+  the run's :class:`~greenlb.cluster.RequestLog` (a hand-made list of
+  requests is turned into those columns first);
 * average power: time integral of the per-state power draw over the window,
   reported per server and as the cluster total.
 
@@ -26,7 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import stdtrit
 
-from .cluster import PowerModel, Request
+from .cluster import PowerModel, Request, RequestLog
 from .policy import PowerState
 
 __all__ = [
@@ -60,19 +62,21 @@ class InsufficientDataError(MetricsError):
     """Too few samples for the requested number of batches."""
 
 
-def _latencies(requests: Sequence[Request], warmup: float) -> list[float]:
-    """Latencies of the completed requests arriving at or after the warm-up cut."""
-    return [
-        req.completion - req.arrival_time
-        for req in requests
-        if req.arrival_time >= warmup and req.completion is not None
-    ]
+def _latencies(requests: Sequence[Request], warmup: float) -> tuple[np.ndarray, int]:
+    """Latencies of the completed requests arriving at or after the warm-up cut,
+    in arrival order, and the number of completed requests."""
+    log = requests if isinstance(requests, RequestLog) else RequestLog.from_requests(requests)
+    arrival = np.frombuffer(log.arrival)
+    completion = np.frombuffer(log.completion)
+    completed = ~np.isnan(completion)
+    keep = completed & (arrival >= warmup)
+    return completion[keep] - arrival[keep], int(np.count_nonzero(completed))
 
 
 def compute_al(requests: Sequence[Request], warmup: float) -> float:
     """Average latency over requests arriving at or after the warm-up cut."""
-    latencies = _latencies(requests, warmup)
-    if not latencies:
+    latencies, _ = _latencies(requests, warmup)
+    if not latencies.size:
         raise EmptySampleError("no completed requests arrived after the warm-up cut")
     return float(np.mean(latencies))
 
@@ -203,8 +207,8 @@ def summarize(record) -> RunResult:
             "lower the warmup or extend the run"
         )
 
-    latencies = _latencies(record.requests, warmup)
-    if latencies:
+    latencies, completed = _latencies(record.requests, warmup)
+    if latencies.size:
         avg_latency = float(np.mean(latencies))
         try:
             _, latency_ci = batch_means(latencies, config.num_batches)
@@ -227,7 +231,6 @@ def summarize(record) -> RunResult:
 
     width = horizon - warmup
     fractions = [{s.value: seconds / width for s, seconds in d.items()} for d in durations]
-    completed = sum(1 for req in record.requests if req.completion is not None)
     return RunResult(
         avg_latency_s=avg_latency,
         latency_ci_halfwidth=latency_ci,

@@ -219,11 +219,12 @@ def test_criterion_6_oracle_equivalence():
         )
         record = simulate(cfg)
         oracle = replay_oracle(
-            [r.arrival_time for r in record.requests],
-            [r.assigned_server for r in record.requests],
+            record.requests.arrival,
+            record.requests.server,
             cfg.num_servers, cfg.power, cfg.service_time, cfg.initial_state,
         )
-        engine_latencies = [r.completion - r.arrival_time for r in record.requests]
+        engine_latencies = [c - a for a, c in zip(record.requests.arrival,
+                                                  record.requests.completion)]
         ok &= oracle.latencies == engine_latencies  # exact, every request
         engine_integral = (
             compute_ap(record.timelines, cfg.power, 0.0, record.horizon).total_w

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from greenlb.cluster import Cluster, ClusterInvariantError, PowerModel, Request
+from greenlb.cluster import Cluster, ClusterInvariantError, PowerModel
 from greenlb.events import EventKind
 from greenlb.policy import PowerState
 
@@ -15,14 +15,10 @@ def make_cluster(n=1, initial=PowerState.SLEEP, **power_kw):
     return Cluster(n, PowerModel(**power_kw), service_time=1.0, initial_state=initial)
 
 
-def req(t, index=0):
-    return Request(arrival_time=t, index=index)
-
-
 class TestArrivalHandling:
     def test_sleeping_server_wakes_for_ten_seconds(self):
         c = make_cluster()
-        out = c.on_request_assigned(0, req(3.0), 3.0)
+        out = c.on_request_assigned(0, 3.0)
         assert c.servers[0].power_state is PowerState.WAKEUP
         assert out == [evt for evt in out]
         (wakeup,) = out
@@ -35,7 +31,7 @@ class TestArrivalHandling:
         c = make_cluster(initial=PowerState.ON)
         (timeout,) = c.start(0.0)
         assert timeout.kind is EventKind.TIMEOUT and timeout.time == 10.0
-        (complete,) = c.on_request_assigned(0, req(4.0), 4.0)
+        (complete,) = c.on_request_assigned(0, 4.0)
         assert complete.kind is EventKind.SERVICE_COMPLETE and complete.time == 5.0
         # the armed timeout is now stale and must be ignored when it fires
         assert c.on_timeout(0, 10.0, timeout.token) == []
@@ -43,8 +39,8 @@ class TestArrivalHandling:
     def test_on_busy_server_queues_only(self):
         c = make_cluster(initial=PowerState.ON)
         c.start(0.0)
-        c.on_request_assigned(0, req(1.0, 0), 1.0)
-        assert c.on_request_assigned(0, req(1.5, 1), 1.5) == []
+        c.on_request_assigned(0, 1.0)
+        assert c.on_request_assigned(0, 1.5) == []
         assert c.servers[0].queue_size == 2
 
     def test_arrival_during_suspend_wakes_after_suspend_completes(self):
@@ -55,7 +51,7 @@ class TestArrivalHandling:
         (suspend_done,) = c.on_timeout(0, 10.0, timeout.token)
         assert c.servers[0].power_state is PowerState.SUSPEND
         assert suspend_done.time == 20.0
-        assert c.on_request_assigned(0, req(14.0), 14.0) == []
+        assert c.on_request_assigned(0, 14.0) == []
         assert c.servers[0].pending_arrival_during_suspend
         (wakeup_done,) = c.on_suspend_done(0, 20.0)
         assert c.servers[0].power_state is PowerState.WAKEUP
@@ -67,14 +63,14 @@ class TestArrivalHandling:
         c = make_cluster(initial=PowerState.ON)
         (timeout,) = c.start(0.0)
         c.on_timeout(0, 10.0, timeout.token)
-        c.on_request_assigned(0, req(12.0, 0), 12.0)
-        assert c.on_request_assigned(0, req(13.0, 1), 13.0) == []
+        c.on_request_assigned(0, 12.0)
+        assert c.on_request_assigned(0, 13.0) == []
         assert c.servers[0].queue_size == 2
 
     def test_arrival_during_wakeup_queues_without_restart(self):
         c = make_cluster()
-        (wakeup,) = c.on_request_assigned(0, req(1.0, 0), 1.0)
-        assert c.on_request_assigned(0, req(2.0, 1), 2.0) == []
+        (wakeup,) = c.on_request_assigned(0, 1.0)
+        assert c.on_request_assigned(0, 2.0) == []
         assert c.servers[0].power_state is PowerState.WAKEUP
         # the original wakeup completion still applies
         (complete,) = c.on_wakeup_done(0, wakeup.time)
@@ -85,18 +81,21 @@ class TestCompletionAndTimers:
     def test_completion_starts_next_queued_request(self):
         c = make_cluster(initial=PowerState.ON)
         c.start(0.0)
-        first, second = req(0.5, 0), req(0.7, 1)
-        c.on_request_assigned(0, first, 0.5)
-        c.on_request_assigned(0, second, 0.7)
+        c.on_request_assigned(0, 0.5)
+        c.on_request_assigned(0, 0.7)
         (complete,) = c.on_service_complete(0, 1.5)
-        assert first.completion == 1.5
-        assert second.service_start == 1.5
-        assert complete.time == 2.5
+        assert c.requests.completion[0] == 1.5
+        assert math.isnan(c.requests.completion[1])
+        assert complete.time == 2.5  # the second request went into service at 1.5
+        c.on_service_complete(0, complete.time)
+        assert list(c.requests.completion) == [1.5, 2.5]
+        assert list(c.requests.arrival) == [0.5, 0.7]
+        assert list(c.requests.server) == [0, 0]
 
     def test_idle_chain_on_timeout_suspend_sleep(self):
         c = make_cluster(initial=PowerState.ON)
         c.start(0.0)
-        c.on_request_assigned(0, req(0.5), 0.5)
+        c.on_request_assigned(0, 0.5)
         (timeout,) = c.on_service_complete(0, 1.5)
         assert timeout.kind is EventKind.TIMEOUT and timeout.time == 11.5
         (suspend_done,) = c.on_timeout(0, 11.5, timeout.token)
@@ -109,9 +108,9 @@ class TestCompletionAndTimers:
     def test_arrival_halfway_through_idle_window_cancels_timeout(self):
         c = make_cluster(initial=PowerState.ON)
         c.start(0.0)
-        c.on_request_assigned(0, req(0.5), 0.5)
+        c.on_request_assigned(0, 0.5)
         (timeout,) = c.on_service_complete(0, 1.5)
-        (complete,) = c.on_request_assigned(0, req(6.5, 1), 6.5)
+        (complete,) = c.on_request_assigned(0, 6.5)
         assert complete.time == 7.5  # service starts at the arrival
         assert c.on_timeout(0, timeout.time, timeout.token) == []
         assert c.servers[0].power_state is PowerState.ON
@@ -125,7 +124,7 @@ class TestCompletionAndTimers:
 
     def test_wakeup_done_with_empty_queue_arms_fresh_timeout(self):
         c = make_cluster()
-        c.on_request_assigned(0, req(1.0), 1.0)
+        c.on_request_assigned(0, 1.0)
         c.servers[0].queue.clear()  # synthetic: queue drained by other means
         (timeout,) = c.on_wakeup_done(0, 11.0)
         assert timeout.kind is EventKind.TIMEOUT and timeout.time == 21.0
@@ -134,7 +133,7 @@ class TestCompletionAndTimers:
     def test_infinite_timeout_never_schedules(self):
         c = make_cluster(initial=PowerState.ON, timeout=math.inf)
         assert c.start(0.0) == []
-        c.on_request_assigned(0, req(0.5), 0.5)
+        c.on_request_assigned(0, 0.5)
         assert c.on_service_complete(0, 1.5) == []
         assert c.servers[0].power_state is PowerState.ON
 
@@ -177,11 +176,11 @@ class TestPowerAndErrors:
     def test_serving_requires_on(self):
         c = make_cluster()
         with pytest.raises(ClusterInvariantError):
-            c._start_service(c.servers[0], req(0.0), 0.0)
+            c._start_service(c.servers[0], 0, 0.0)
 
     def test_timeline_records_full_chain(self):
         c = make_cluster()
-        c.on_request_assigned(0, req(2.0), 2.0)
+        c.on_request_assigned(0, 2.0)
         c.on_wakeup_done(0, 12.0)
         (timeout,) = c.on_service_complete(0, 13.0)
         c.on_timeout(0, 23.0, timeout.token)

@@ -4,6 +4,7 @@ import csv
 import logging
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from greenlb.engine import (
     simulate,
 )
 from greenlb.events import EventKind
+from greenlb.metrics import summarize
 from greenlb.policy import (
     EvaluationError,
     NdResolution,
@@ -150,9 +152,9 @@ class TestEventOrdering:
 class TestRun:
     def test_single_request_from_sleep_takes_wakeup_plus_service(self):
         record = simulate(config(stop=StopCriterion(max_requests=1)))
-        (req,) = record.requests
-        assert req.completion - req.arrival_time == pytest.approx(11.0, abs=1e-9)
-        assert req.service_start == pytest.approx(req.arrival_time + 10.0, abs=1e-9)
+        (arrival,), (completion,) = record.requests.arrival, record.requests.completion
+        # a 10 s wakeup from the arrival, then 1 s of service
+        assert completion == arrival + 10.0 + 1.0
 
     def test_constant_argmax_monopolises_one_server(self):
         record = simulate(config(policy=parse_policy("0 - id"), design_params={}))
@@ -166,27 +168,27 @@ class TestRun:
     def test_all_requests_complete_and_partition(self):
         record = simulate(config())
         assert len(record.requests) == 200
-        assert all(r.completion is not None for r in record.requests)
+        assert not np.isnan(record.requests.completion).any()
         assert sum(record.assignment_counts) == 200
-        assert [r.assigned_server for r in record.requests].count(None) == 0
+        assert min(record.requests.server) >= 0
 
     def test_replay_determinism(self):
         a = simulate(config())
         b = simulate(config())
-        assert [r.arrival_time for r in a.requests] == [r.arrival_time for r in b.requests]
-        assert [r.completion for r in a.requests] == [r.completion for r in b.requests]
+        assert a.requests.arrival == b.requests.arrival
+        assert a.requests.completion == b.requests.completion
         assert a.assignment_counts == b.assignment_counts
         assert a.timelines == b.timelines
 
     def test_different_seed_changes_workload(self):
         a = simulate(config())
         b = simulate(config(seed=43))
-        assert [r.arrival_time for r in a.requests] != [r.arrival_time for r in b.requests]
+        assert a.requests.arrival != b.requests.arrival
 
     def test_arrival_stream_immune_to_nd_mode(self):
         a = simulate(config(nd=NdResolution.RANDOM_FRACTION))
         b = simulate(config(nd=NdResolution.FIXED_ORDER))
-        assert [r.arrival_time for r in a.requests] == [r.arrival_time for r in b.requests]
+        assert a.requests.arrival == b.requests.arrival
 
     def test_timelines_wellformed(self):
         record = simulate(config())
@@ -217,17 +219,17 @@ class TestRun:
 class TestStopCriteria:
     def test_max_requests_horizon_is_last_completion(self):
         record = simulate(config())
-        assert record.horizon == max(r.completion for r in record.requests)
+        assert record.horizon == max(record.requests.completion)
 
     def test_max_virtual_time_bounds_arrivals(self):
         record = simulate(config(stop=StopCriterion(max_virtual_time=50.0)))
         assert record.horizon == 50.0
-        assert all(r.arrival_time <= 50.0 for r in record.requests)
-        assert all(r.completion is not None for r in record.requests)
+        assert max(record.requests.arrival) <= 50.0
+        assert not np.isnan(record.requests.completion).any()
 
     def test_zero_arrival_run(self):
         record = simulate(config(stop=StopCriterion(max_requests=0, max_virtual_time=100.0)))
-        assert record.requests == []
+        assert len(record.requests) == 0
         assert record.horizon == 100.0
         assert record.timelines == [[(0.0, PowerState.SLEEP)]] * 4
 
@@ -349,7 +351,7 @@ def assert_picks_equal_select_server(cfg):
             assert picks[-1] == server, f"arrival {len(picks) - 1}"
         state[server] = (int(row["queue_size"]), PowerState(row["power_state"]))
     if failure is None:
-        assert picks == [r.assigned_server for r in record.requests]
+        assert picks == list(record.requests.server)
         return len(picks)
     # the failed arrival wrote no trace row, so it is arrival len(picks)
     assert f"request {len(picks)}: " in str(failure)
@@ -442,3 +444,25 @@ class TestOverloadWarning:
         with caplog.at_level(logging.DEBUG, logger="greenlb"):
             simulate(config())
         assert caplog.records == []
+
+
+class TestMemory:
+    # Peak bytes traced per request over simulate + summarize.  Three 8-byte
+    # columns take 24; one Request object kept per arrival took about 200.
+    BOUND_BYTES_PER_REQUEST = 64
+
+    def test_long_run_peak_is_a_few_columns_per_request(self):
+        n = 50_000
+        cfg = SimConfig(num_servers=1, arrival_rate=0.5, service_time=1.0,
+                        power=PowerModel(timeout=math.inf), policy=parse_policy("0"),
+                        stop=StopCriterion(max_requests=n), warmup=500.0, seed=404,
+                        initial_state=PowerState.ON)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = summarize(simulate(cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.requests_completed == n
+        assert (peak - before) / n < self.BOUND_BYTES_PER_REQUEST

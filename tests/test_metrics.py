@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy import stats
 from scipy.special import stdtrit
 
 from greenlb import metrics
-from greenlb.cluster import PowerModel, Request
+from greenlb.cluster import PowerModel, Request, RequestLog
 from greenlb.engine import SimConfig, StopCriterion, simulate
 from greenlb.metrics import (
     summarize,
@@ -308,3 +309,62 @@ class TestSummarize:
     def test_csv_row_matches_header(self):
         result = summarize(self.run_record())
         assert len(csv_row(result)) == len(csv_header())
+
+
+def loop_latencies(requests, warmup):
+    """The per-request loop the columnar latency path replaced, as the reference."""
+    return [r.completion - r.arrival_time for r in requests
+            if r.arrival_time >= warmup and r.completion is not None]
+
+
+class TestRequestLog:
+    def record(self):
+        return simulate(SimConfig(
+            num_servers=4, policy=parse_policy('-queueSize - dspace("q") * (1 - stateOn)'),
+            design_params={"q": 5.0}, power=PowerModel(timeout=1.0),
+            stop=StopCriterion(max_requests=2000), warmup=100.0, seed=7))
+
+    def test_summarize_of_the_log_equals_summarize_of_a_hand_made_list(self):
+        record = self.record()
+        log = record.requests
+        hand_made = [Request(arrival_time=a, index=i, assigned_server=s, completion=c)
+                     for i, (a, s, c) in enumerate(zip(log.arrival, log.server, log.completion))]
+        result = summarize(record)
+        assert repr(result) == repr(summarize(replace(record, requests=hand_made)))
+        reference = loop_latencies(hand_made, record.config.warmup)
+        assert result.avg_latency_s == float(np.mean(reference))
+        assert result.latency_ci_halfwidth == batch_means(reference)[1]
+        assert result.requests_completed == 2000
+
+    def test_incomplete_requests_are_left_out(self):
+        requests = [req(0.0, 1.0, 0), req(5.0, None, 1), req(6.0, 8.5, 2), req(7.0, None, 3)]
+        assert compute_al(requests, warmup=0.0) == \
+            float(np.mean(loop_latencies(requests, 0.0))) == 1.75
+        assert list(RequestLog.from_requests(requests)) == requests
+
+    def test_items_are_built_from_the_columns(self):
+        record = self.record()
+        log = record.requests
+        assert [(r.arrival_time, r.assigned_server, r.completion, r.service_start)
+                for r in log] == [(a, s, c, None) for a, s, c
+                                  in zip(log.arrival, log.server, log.completion)]
+        assert [r.index for r in log] == list(range(2000))
+
+    def test_markers_read_back_as_none(self):
+        log = RequestLog([0.5, 1.0, 2.0], [0, 1, -1], [1.5, math.nan, math.nan])
+        assert log[0] == Request(0.5, 0, assigned_server=0, completion=1.5)
+        assert log[1] == Request(1.0, 1, assigned_server=1, completion=None)
+        assert log[2] == Request(2.0, 2, assigned_server=None, completion=None)
+
+    def test_behaves_like_a_list(self):
+        log = RequestLog([0.5, 1.0, 2.0], [0, 1, -1], [1.5, math.nan, math.nan])
+        as_list = [log[0], log[1], log[2]]
+        assert len(log) == 3 and list(log) == as_list
+        assert log[-1] == as_list[-1] and log[-3] == as_list[-3]
+        assert log[-1].index == 2
+        assert log[1:] == as_list[1:] and log[::-2] == as_list[::-2]
+        for bad in (3, -4):
+            with pytest.raises(IndexError):
+                log[bad]
+        assert len(RequestLog()) == 0 and list(RequestLog()) == []
+

@@ -157,11 +157,11 @@ class TestReplayOracle:
             seed=seed,
         )
         record = simulate(cfg)
-        arrivals = [r.arrival_time for r in record.requests]
-        assignments = [r.assigned_server for r in record.requests]
+        arrivals = record.requests.arrival
+        assignments = record.requests.server
         oracle = replay_oracle(arrivals, assignments, cfg.num_servers, cfg.power,
                                cfg.service_time, cfg.initial_state)
-        engine_lat = [r.completion - r.arrival_time for r in record.requests]
+        engine_lat = [c - a for a, c in zip(arrivals, record.requests.completion)]
         assert oracle.latencies == engine_lat  # bit-identical
         assert oracle.horizon == record.horizon
         engine_ap = compute_ap(record.timelines, cfg.power, 0.0, record.horizon)
