@@ -121,7 +121,7 @@ class PowerModel:
 
     def validate(self) -> None:
         for name in ("p_on", "p_suspend", "p_wakeup", "p_sleep", "t_suspend", "t_wakeup"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # false for NaN too
                 raise ValueError(f"power model field {name} must be non-negative")
         if not self.timeout > 0:
             raise ValueError("timeout must be positive (math.inf disables suspending)")
@@ -203,10 +203,6 @@ class Cluster:
             for i in range(num_servers)
         ]
         self.requests = RequestLog()
-
-    @property
-    def num_servers(self) -> int:
-        return len(self.servers)
 
     def start(self, now: float = 0.0) -> list[Scheduled]:
         """Arm initial timers. Servers that start On and idle begin a timeout."""

@@ -139,7 +139,7 @@ class SimConfig:
             raise ValueError("arrival_rate must be positive")
         if not self.service_time > 0:
             raise ValueError("service_time must be positive")
-        if self.warmup < 0:
+        if not self.warmup >= 0:  # false for NaN too
             raise ValueError("warmup must be non-negative")
         if self.num_batches < 2:
             raise ValueError("num_batches must be >= 2")

@@ -22,8 +22,9 @@ itself calls, so importing greenlb does not import ``scipy.stats``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from dataclasses import asdict, dataclass
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import stdtrit
@@ -181,20 +182,12 @@ class RunResult:
     num_servers: int
 
     def to_dict(self) -> dict:
-        return {
-            "avg_latency_s": None if math.isnan(self.avg_latency_s) else self.avg_latency_s,
-            "latency_ci_halfwidth": self.latency_ci_halfwidth,
-            "avg_power_per_server_w": self.avg_power_per_server_w,
-            "total_power_w": self.total_power_w,
-            "power_ci_halfwidth": self.power_ci_halfwidth,
-            "per_state_time_fraction": self.per_state_time_fraction,
-            "per_server_assignment_count": self.per_server_assignment_count,
-            "requests_completed": self.requests_completed,
-            "virtual_time_simulated": self.virtual_time_simulated,
-            "warmup_s": self.warmup_s,
-            "num_servers": self.num_servers,
-            "estimator": "finite-window batch-means approximation of the long-run averages",
-        }
+        """The JSON form: the fields in order, NaN latency as None, plus the estimator note."""
+        out = asdict(self)
+        if math.isnan(self.avg_latency_s):
+            out["avg_latency_s"] = None
+        out["estimator"] = "finite-window batch-means approximation of the long-run averages"
+        return out
 
 
 def summarize(record) -> RunResult:
@@ -246,42 +239,33 @@ def summarize(record) -> RunResult:
     )
 
 
+def _optional(halfwidth: float | None) -> str:
+    return "" if halfwidth is None else repr(halfwidth)
+
+
+def _mean_fraction(state: str, result: RunResult) -> str:
+    return repr(sum(f[state] for f in result.per_state_time_fraction) / result.num_servers)
+
+
+# One result row, in column order: (name, formatter).  Fractions are cluster means.
+_CSV_COLUMNS: tuple[tuple[str, Callable[[RunResult], str]], ...] = (
+    ("avg_latency_s", lambda r: repr(r.avg_latency_s)),
+    ("latency_ci", lambda r: _optional(r.latency_ci_halfwidth)),
+    ("avg_power_per_server_w", lambda r: repr(r.avg_power_per_server_w)),
+    ("total_power_w", lambda r: repr(r.total_power_w)),
+    ("power_ci", lambda r: _optional(r.power_ci_halfwidth)),
+    ("requests_completed", lambda r: str(r.requests_completed)),
+    ("virtual_time_s", lambda r: repr(r.virtual_time_simulated)),
+    *((f"frac_{s.value}", partial(_mean_fraction, s.value)) for s in STATE_ORDER),
+    ("assignments", lambda r: ";".join(map(str, r.per_server_assignment_count))),
+)
+
+
 def csv_header() -> list[str]:
     """Column names for one result row (sweep rows prepend design coordinates)."""
-    return [
-        "avg_latency_s",
-        "latency_ci",
-        "avg_power_per_server_w",
-        "total_power_w",
-        "power_ci",
-        "requests_completed",
-        "virtual_time_s",
-        "frac_on",
-        "frac_suspend",
-        "frac_sleep",
-        "frac_wakeup",
-        "assignments",
-    ]
+    return [name for name, _ in _CSV_COLUMNS]
 
 
 def csv_row(result: RunResult) -> list[str]:
-    """Flatten a result for CSV output; fractions are cluster means."""
-    mean_frac = {
-        state.value: sum(f[state.value] for f in result.per_state_time_fraction)
-        / result.num_servers
-        for state in STATE_ORDER
-    }
-    return [
-        repr(result.avg_latency_s),
-        "" if result.latency_ci_halfwidth is None else repr(result.latency_ci_halfwidth),
-        repr(result.avg_power_per_server_w),
-        repr(result.total_power_w),
-        "" if result.power_ci_halfwidth is None else repr(result.power_ci_halfwidth),
-        str(result.requests_completed),
-        repr(result.virtual_time_simulated),
-        repr(mean_frac["on"]),
-        repr(mean_frac["suspend"]),
-        repr(mean_frac["sleep"]),
-        repr(mean_frac["wakeup"]),
-        ";".join(str(c) for c in result.per_server_assignment_count),
-    ]
+    """Flatten a result for CSV output, one string per :func:`csv_header` column."""
+    return [column(result) for _, column in _CSV_COLUMNS]

@@ -117,7 +117,7 @@ class ServerSnapshot:
             raise ValueError("queue_size must be non-negative")
         for name in ("power_on", "power_sleep", "power_suspend", "power_wakeup",
                      "time_wakeup", "time_suspend", "timeout_time"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # false for NaN too
                 raise ValueError(f"{name} must be non-negative")
 
 

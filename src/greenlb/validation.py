@@ -17,7 +17,7 @@ Three independent ways to corroborate simulator output:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .cluster import PowerModel
@@ -210,19 +210,6 @@ class DesignComparison:
     power_b: float
     delta_power: float
 
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "timeout": self.timeout,
-            "nd": self.nd,
-            "latency_a": self.latency_a,
-            "latency_b": self.latency_b,
-            "delta_latency": self.delta_latency,
-            "power_a": self.power_a,
-            "power_b": self.power_b,
-            "delta_power": self.delta_power,
-        }
-
 
 @dataclass(slots=True)
 class ComparisonReport:
@@ -238,18 +225,26 @@ class ComparisonReport:
                 metric: {str(thr): frac for thr, frac in by_thr.items()}
                 for metric, by_thr in self.fraction_below.items()
             },
-            "designs": [d.to_dict() for d in self.designs],
+            "designs": [asdict(d) for d in self.designs],
         }
+
+
+_REQUIRED_COLUMNS = ("q", "timeout", "nd", "avg_latency_s", "total_power_w")
 
 
 def aggregate_designs(rows: Iterable[Mapping]) -> dict:
     """Mean latency and total power per design, replications pooled.
 
-    Rows with an error are skipped.  Maps ``(q, timeout, nd)`` to
+    Every row needs the columns q, timeout, nd, avg_latency_s and
+    total_power_w, or ValueError names the first one missing.  Rows with an
+    error are skipped.  Maps ``(q, timeout, nd)`` to
     ``(mean avg_latency_s, mean total_power_w)``.
     """
     sums: dict[tuple, list[float]] = {}
     for row in rows:
+        for column in _REQUIRED_COLUMNS:
+            if column not in row:
+                raise ValueError(f"results file lacks required column '{column}'")
         if row.get("error"):
             continue
         key = (float(row["q"]), float(row["timeout"]), row["nd"])

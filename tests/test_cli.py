@@ -202,6 +202,18 @@ class TestSweepCompareAndPlot:
         rows = list(csv.reader(io.StringIO(result.output)))
         assert {row[2] for row in rows[1:]} == {"q=1"}
 
+    @pytest.mark.parametrize("command", [
+        ["compare", "{f}", "{f}"],
+        ["plot-data", "{f}", "--group-by", "q", "--max-q", "5"],
+    ])
+    def test_results_without_q_rejected(self, runner, tmp_path, command):
+        no_q = tmp_path / "no_q.csv"
+        no_q.write_text("design_index,timeout,nd,avg_latency_s,total_power_w\n"
+                        "0,1.0,random,1.5,100.0\n")
+        result = runner.invoke(main, [arg.format(f=no_q) for arg in command])
+        assert result.exit_code == 1
+        assert result.stderr == "error: invalid: results file lacks required column 'q'\n"
+
     def test_plot_data_empty_results(self, runner, tmp_path):
         empty = tmp_path / "empty.csv"
         from greenlb.design import write_results_csv

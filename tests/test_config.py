@@ -161,6 +161,19 @@ class TestLoadConfig:
                 scenario: {arrival_rate: -1}
                 policy: {expression: '0'}
             """))
+        # NaN fails every comparison, so `x < 0` would let it through
+        with pytest.raises(ConfigError, match="t_wakeup must be non-negative"):
+            load_config(write(tmp_path, """
+                schema_version: 1
+                power: {time_wakeup_s: .nan}
+                policy: {expression: '0'}
+            """, name="c3.yaml"))
+        with pytest.raises(ConfigError, match="warmup must be non-negative"):
+            load_config(write(tmp_path, """
+                schema_version: 1
+                scenario: {warmup: .nan}
+                policy: {expression: '0'}
+            """, name="c4.yaml"))
         with pytest.raises(ConfigError, match="nd"):
             load_config(write(tmp_path, """
                 schema_version: 1
@@ -217,6 +230,7 @@ class TestLoadStateFile:
     @pytest.mark.parametrize("power, message", [
         ("{timeout_s: 0}", "timeout must be positive"),
         ("{sleep_w: -1}", "p_sleep must be non-negative"),
+        ("{sleep_w: .nan}", "p_sleep must be non-negative"),
     ])
     def test_power_model_is_validated(self, tmp_path, power, message):
         # the same checks a run config's power section gets

@@ -291,6 +291,9 @@ class TestConfigValidation:
             dict(arrival_rate=0.0),
             dict(service_time=0.0),
             dict(warmup=-1.0),
+            dict(warmup=math.nan),
+            dict(power=PowerModel(p_on=math.nan)),
+            dict(power=PowerModel(t_wakeup=math.nan)),
             dict(num_batches=1),
             dict(initial_state=PowerState.SUSPEND),
         ):

@@ -16,6 +16,7 @@ from scipy.special import stdtrit
 
 from greenlb import metrics
 from greenlb.cluster import PowerModel, Request, RequestLog
+from greenlb.design import results_csv_header
 from greenlb.engine import SimConfig, StopCriterion, simulate
 from greenlb.metrics import (
     summarize,
@@ -309,6 +310,20 @@ class TestSummarize:
     def test_csv_row_matches_header(self):
         result = summarize(self.run_record())
         assert len(csv_row(result)) == len(csv_header())
+        # the sweep header is the one README's "Output schemas" documents
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("### Output schemas")[1].split("```text\n")[1].split("```")[0]
+        assert results_csv_header() == "".join(block.split()).split(",")
+        assert list(result.to_dict()) == [
+            "avg_latency_s", "latency_ci_halfwidth", "avg_power_per_server_w",
+            "total_power_w", "power_ci_halfwidth", "per_state_time_fraction",
+            "per_server_assignment_count", "requests_completed", "virtual_time_simulated",
+            "warmup_s", "num_servers", "estimator",
+        ]
+        zero = summarize(self.run_record(
+            stop=StopCriterion(max_requests=0, max_virtual_time=200.0), warmup=50.0))
+        assert csv_row(zero) == ["nan", "", "14.0", "56.0", "0.0", "0", "200.0",
+                                 "0.0", "0.0", "1.0", "0.0", "0;0;0;0"]
 
 
 def loop_latencies(requests, warmup):

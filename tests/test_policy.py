@@ -246,6 +246,14 @@ def test_leaf_table(name):
     assert format_ast(ast) == label
 
 
+@pytest.mark.parametrize("field", ["power_on", "power_sleep", "power_suspend", "power_wakeup",
+                                   "time_wakeup", "time_suspend", "timeout_time"])
+@pytest.mark.parametrize("value", [-1.0, math.nan])
+def test_snapshot_rejects_negative_or_nan_constants(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+        snap(**{field: value})
+
+
 class TestSelectServer:
     def cluster(self, queues, states=None, n=None, params=None):
         n = n or len(queues)
