@@ -157,8 +157,10 @@ def cmd_sweep(config_path, out_path, jobs, seed) -> None:
     sim = loaded.sim
     if seed is not None:
         sim.seed = seed
-    rows = design_mod.run_sweep(loaded.study, sim, jobs=jobs)
-    design_mod.write_results_csv(rows, out_path)
+    # open the destination first, so an unwritable path fails before the sweep runs
+    with open(out_path, "w", newline="") as out:
+        rows = design_mod.run_sweep(loaded.study, sim, jobs=jobs)
+        design_mod.write_results_csv(rows, out)
     failed = sum(1 for r in rows if r.error is not None)
     log.info("sweep finished: %d rows, %d failed", len(rows), failed)
     click.echo(f"wrote {len(rows)} rows to {out_path}"

@@ -7,12 +7,12 @@ Each server owns an unbounded FIFO queue, serves one request at a time
   drains, the server stays On for a timeout window; an arrival inside the
   window cancels it.
 * Suspend: entered when the timeout fires; runs for a fixed transition time
-  and cannot be aborted.  An arrival during Suspend is remembered and the
-  server wakes immediately after the suspend finishes.
-* Sleep: entered when a suspend finishes with no pending arrival; the server
+  and cannot be aborted.  An arrival during Suspend queues, and a server
+  with a non-empty queue wakes immediately after the suspend finishes.
+* Sleep: entered when a suspend finishes with an empty queue; the server
   stays asleep until a request arrives.
 * Wakeup: the fixed-duration transition back to On, entered from Sleep on
-  arrival or straight after a Suspend with a pending arrival.
+  arrival or straight after a Suspend with a queued request.
 
 Transitions are communicated to the event loop as :class:`Scheduled` items;
 armed timeouts are cancelled lazily via a per-server token.
@@ -169,7 +169,6 @@ class Server:
     power_state: PowerState
     queue: deque = field(default_factory=deque)  # request indices, FIFO
     in_service: int | None = None  # request index
-    pending_arrival_during_suspend: bool = False
     timeout_token: int = 0
     timeline: list = field(default_factory=list)  # [(enter_time, PowerState)]
 
@@ -230,9 +229,7 @@ class Cluster:
         if state is PowerState.SLEEP:
             self._set_state(server, PowerState.WAKEUP, now)
             return [Scheduled(EventKind.WAKEUP_DONE, server.id, now + self.power.t_wakeup)]
-        if state is PowerState.SUSPEND:
-            server.pending_arrival_during_suspend = True
-        return []  # Wakeup in progress: the request just queues
+        return []  # Suspend or Wakeup in progress: the request just queues
 
     def on_service_complete(self, server_id: int, now: float) -> list[Scheduled]:
         """Finish the in-service request; serve the next one or go idle."""
@@ -260,12 +257,7 @@ class Cluster:
         server = self.servers[server_id]
         if server.power_state is not PowerState.SUSPEND:
             raise ClusterInvariantError(f"server {server_id}: suspend-done while not suspending")
-        if server.pending_arrival_during_suspend != bool(server.queue):
-            raise ClusterInvariantError(
-                f"server {server_id}: pending-arrival flag out of sync with queue"
-            )
-        if server.pending_arrival_during_suspend:
-            server.pending_arrival_during_suspend = False
+        if server.queue:  # nothing dequeues while suspending
             self._set_state(server, PowerState.WAKEUP, now)
             return [Scheduled(EventKind.WAKEUP_DONE, server.id, now + self.power.t_wakeup)]
         self._set_state(server, PowerState.SLEEP, now)

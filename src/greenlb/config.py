@@ -177,7 +177,6 @@ _SCENARIO = {
     "warmup": ("warmup", _number),
     "seed": ("seed", _integer),
     "initial_state": ("initial_state", _state),
-    "num_batches": ("num_batches", _integer),
 }
 
 _POWER = {

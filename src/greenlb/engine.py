@@ -130,7 +130,6 @@ class SimConfig:
     warmup: float = 500.0
     seed: int = 1
     initial_state: PowerState = PowerState.SLEEP
-    num_batches: int = 20
 
     def validate(self) -> None:
         if self.num_servers < 1:
@@ -141,8 +140,6 @@ class SimConfig:
             raise ValueError("service_time must be positive")
         if not self.warmup >= 0:  # false for NaN too
             raise ValueError("warmup must be non-negative")
-        if self.num_batches < 2:
-            raise ValueError("num_batches must be >= 2")
         if self.initial_state not in (PowerState.SLEEP, PowerState.ON):
             raise ValueError("initial_state must be sleep or on")
         self.power.validate()

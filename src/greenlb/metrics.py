@@ -14,9 +14,10 @@ The time-in-state integral is one walk over each timeline against sorted
 window edges (:func:`window_durations`); the metrics window, the power batch
 windows and the state fractions are all read from such walks.
 
-Confidence intervals come from the batch means method, Student-t at 95%.
-The t quantile is ``scipy.special.stdtrit``, the function ``scipy.stats.t.ppf``
-itself calls, so importing greenlb does not import ``scipy.stats``.
+Confidence intervals come from the batch means method over :data:`BATCHES`
+batches, Student-t at 95%: the latency CI over 20 equal-size batches of
+latencies, the power CI over 20 equal time windows.  The batch count is part
+of the estimator, as the 95% level is, so its t quantile is one constant.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .cluster import PowerModel, Request, RequestLog
 from .policy import PowerState
@@ -50,6 +50,11 @@ __all__ = [
 STATE_ORDER = (PowerState.ON, PowerState.SUSPEND, PowerState.SLEEP, PowerState.WAKEUP)
 Timeline = Sequence[tuple[float, PowerState]]  # gapless (enter_time, state) from t=0
 
+BATCHES = 20
+# the 0.975 quantile of Student's t at BATCHES - 1 = 19 degrees of freedom:
+# scipy.stats.t.ppf(0.975, 19), the same float as scipy.special.stdtrit(19, 0.975)
+T_QUANTILE = 2.0930240544083087
+
 
 class MetricsError(ValueError):
     """A metric could not be computed from the given window or data."""
@@ -60,7 +65,7 @@ class EmptySampleError(MetricsError):
 
 
 class InsufficientDataError(MetricsError):
-    """Too few samples for the requested number of batches."""
+    """Too few samples to fill the batches."""
 
 
 def _latencies(requests: Sequence[Request], warmup: float) -> tuple[np.ndarray, int]:
@@ -132,30 +137,24 @@ def compute_ap(
     return _average_power(durations, power, warmup, horizon)
 
 
-def batch_means(samples: Sequence[float], num_batches: int = 20) -> tuple[float, float]:
-    """Grand mean and 95% Student-t half-width from equal-size batches.
+def batch_means(samples: Sequence[float]) -> tuple[float, float]:
+    """Grand mean and 95% Student-t half-width from :data:`BATCHES` equal-size batches.
 
-    Splits the series into ``num_batches`` consecutive batches of
-    ``len(samples) // num_batches`` items (trailing remainder dropped).
+    Splits the series into consecutive batches of ``len(samples) // BATCHES``
+    items (trailing remainder dropped).
     Raises :class:`InsufficientDataError` instead of returning NaN.
     """
-    if num_batches < 2:
-        raise InsufficientDataError("batch means needs at least 2 batches")
     arr = np.asarray(samples, dtype=float)
-    batch_size = arr.size // num_batches
+    batch_size = arr.size // BATCHES
     if batch_size < 1:
-        raise InsufficientDataError(
-            f"{arr.size} samples cannot fill {num_batches} batches"
-        )
-    means = arr[: num_batches * batch_size].reshape(num_batches, batch_size).mean(axis=1)
+        raise InsufficientDataError(f"{arr.size} samples cannot fill {BATCHES} batches")
+    means = arr[: BATCHES * batch_size].reshape(BATCHES, batch_size).mean(axis=1)
     return float(means.mean()), _t_halfwidth(means)
 
 
 def _t_halfwidth(means: np.ndarray) -> float:
-    """95% Student-t half-width of the mean of ``means`` (at least 2 values)."""
-    num_batches = means.size
-    t = float(stdtrit(num_batches - 1, 0.975))
-    return t * float(means.std(ddof=1)) / math.sqrt(num_batches)
+    """95% Student-t half-width of the mean of :data:`BATCHES` batch means."""
+    return T_QUANTILE * float(means.std(ddof=1)) / math.sqrt(BATCHES)
 
 
 @dataclass(slots=True)
@@ -163,10 +162,10 @@ class RunResult:
     """Summary of one run over its metrics window.
 
     ``avg_latency_s`` is NaN when no request arrived after the warm-up cut
-    (e.g. a deliberate zero-arrival run); confidence half-widths are None
-    when the run is too short for the configured batch count.  The CI
-    half-width for power is on the per-server average; multiply by
-    ``num_servers`` for the cluster total.
+    (e.g. a deliberate zero-arrival run); the latency CI half-width is None
+    when the run is too short for 20 batches (fewer than 20 post-warm-up
+    latencies).  The CI half-width for power is on the per-server average;
+    multiply by ``num_servers`` for the cluster total.
     """
 
     avg_latency_s: float
@@ -204,7 +203,7 @@ def summarize(record) -> RunResult:
     if latencies.size:
         avg_latency = float(np.mean(latencies))
         try:
-            _, latency_ci = batch_means(latencies, config.num_batches)
+            _, latency_ci = batch_means(latencies)
         except InsufficientDataError:
             latency_ci = None
     else:
@@ -214,11 +213,11 @@ def summarize(record) -> RunResult:
     # two walks per timeline: the metrics window, then the power batch windows
     durations = [window_durations(tl, (warmup, horizon))[0] for tl in record.timelines]
     ap = _average_power(durations, config.power, warmup, horizon)
-    edges = np.linspace(warmup, horizon, config.num_batches + 1).tolist()
+    edges = np.linspace(warmup, horizon, BATCHES + 1).tolist()
     batches = [window_durations(tl, edges) for tl in record.timelines]
     window_means = np.array([
         _average_power([b[k] for b in batches], config.power, edges[k], edges[k + 1]).total_w
-        for k in range(config.num_batches)
+        for k in range(BATCHES)
     ])
     power_ci = _t_halfwidth(window_means / config.num_servers)
 

@@ -169,6 +169,16 @@ class TestSweepCompareAndPlot:
         assert result.exit_code == 1
         assert "study" in result.stderr
 
+    def test_sweep_unwritable_out_fails_before_running(self, runner, tmp_path, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            pytest.fail("the sweep ran before its destination was opened")
+        monkeypatch.setattr("greenlb.design.run_sweep", no_sweep)
+        config = write(tmp_path, "config.yaml", SWEEP_CONFIG)
+        result = runner.invoke(main, ["sweep", "--config", config,
+                                      "--out", str(tmp_path / "missing" / "x.csv")])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: io:")
+
     def test_compare_self_is_zero(self, runner, tmp_path):
         config = write(tmp_path, "config.yaml", SWEEP_CONFIG)
         out = tmp_path / "r.csv"

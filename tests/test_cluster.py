@@ -52,7 +52,7 @@ class TestArrivalHandling:
         assert c.servers[0].power_state is PowerState.SUSPEND
         assert suspend_done.time == 20.0
         assert c.on_request_assigned(0, 14.0) == []
-        assert c.servers[0].pending_arrival_during_suspend
+        assert c.servers[0].queue_size == 1
         (wakeup_done,) = c.on_suspend_done(0, 20.0)
         assert c.servers[0].power_state is PowerState.WAKEUP
         assert wakeup_done.time == 30.0

@@ -248,6 +248,7 @@ SERVERS = "servers: [{queue_size: 0}]"
 
 @pytest.mark.parametrize("load, text, where, key", [
     (load_config, f"scenario: {{arrival_rte: 2.0}}\n{POLICY}", "'scenario'", "arrival_rte"),
+    (load_config, f"scenario: {{num_batches: 20}}\n{POLICY}", "'scenario'", "num_batches"),
     (load_config, f"scenario: {{stop: {{max_request: 5}}}}\n{POLICY}", "'scenario.stop'",
      "max_request"),
     (load_config, f"power: {{sleep: 14.0}}\n{POLICY}", "'power'", "sleep"),
@@ -257,7 +258,7 @@ SERVERS = "servers: [{queue_size: 0}]"
     (load_state_file, "servers: [{queue_len: 0}]", r"'servers\[0\]'", "queue_len"),
     (load_state_file, f"{SERVERS}\npower: {{sleep: 14.0}}", "'power'", "sleep"),
     (load_state_file, f"{SERVERS}\ndesgin: {{q: 5}}", "'.*config.yaml'", "desgin"),
-], ids=["scenario", "scenario.stop", "power", "policy", "study", "config",
+], ids=["scenario", "scenario-num_batches", "scenario.stop", "power", "policy", "study", "config",
         "servers[0]", "state-power", "state-file"])
 def test_unknown_key_is_named_with_its_path(tmp_path, load, text, where, key):
     with pytest.raises(ConfigError, match=rf"^unknown key\(s\) in {where}: {key}$"):

@@ -294,7 +294,6 @@ class TestConfigValidation:
             dict(warmup=math.nan),
             dict(power=PowerModel(p_on=math.nan)),
             dict(power=PowerModel(t_wakeup=math.nan)),
-            dict(num_batches=1),
             dict(initial_state=PowerState.SUSPEND),
         ):
             with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import stdtrit
 
 from greenlb import metrics
 from greenlb.cluster import PowerModel, Request, RequestLog
@@ -150,23 +149,21 @@ class TestWindowDurations:
 
 class TestBatchMeans:
     def test_constant_series(self):
-        mean, hw = batch_means([3.0] * 100, num_batches=20)
+        mean, hw = batch_means([3.0] * 100)
         assert mean == 3.0
         assert hw == 0.0
 
     def test_alternating_series_with_even_batches(self):
-        mean, hw = batch_means([0.0, 2.0] * 20, num_batches=20)
+        mean, hw = batch_means([0.0, 2.0] * 20)
         assert mean == 1.0
         assert hw == 0.0
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            batch_means([1.0] * 5, num_batches=20)
-        with pytest.raises(InsufficientDataError):
-            batch_means([1.0] * 100, num_batches=1)
+            batch_means([1.0] * 5)
 
     def test_remainder_is_dropped(self):
-        mean, _ = batch_means([1.0] * 40 + [100.0], num_batches=20)
+        mean, _ = batch_means([1.0] * 40 + [100.0])
         assert mean == 1.0
 
     def test_iid_exponential_coverage(self):
@@ -176,27 +173,26 @@ class TestBatchMeans:
         covered = 0
         for _ in range(100):
             samples = rng.exponential(1.0, 100_000)
-            mean, hw = batch_means(samples, num_batches=20)
+            mean, hw = batch_means(samples)
             if abs(mean - 1.0) <= hw:
                 covered += 1
         assert covered >= 90
 
 
 class TestStudentTQuantile:
-    def test_stdtrit_equals_stats_t_ppf(self):
-        # metrics takes the CI quantile from stdtrit; it must be the very
-        # float scipy.stats.t.ppf returns, so CI half-widths keep their repr
-        for df in range(1, 2000):
-            assert repr(float(stdtrit(df, 0.975))) == repr(float(stats.t.ppf(0.975, df)))
+    def test_t_quantile_is_stats_t_ppf(self):
+        # the literal must be the very float scipy.stats.t.ppf returns, so CI
+        # half-widths keep their repr
+        assert repr(metrics.T_QUANTILE) == repr(float(stats.t.ppf(0.975, metrics.BATCHES - 1)))
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # a fresh interpreter: this pytest process has scipy.stats loaded already
+    def test_import_loads_no_scipy(self):
+        # a fresh interpreter: this pytest process has scipy loaded already
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
             "import sys\n"
             "import greenlb, greenlb.config, greenlb.cli\n"
-            "assert 'scipy.special' in sys.modules\n"
-            "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n"
         )
         env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run(
@@ -278,11 +274,11 @@ class TestSummarize:
     def test_power_ci_is_the_t_halfwidth_of_single_window_powers(self):
         record = self.run_record(power=PowerModel(timeout=1.0))
         config = record.config
-        edges = np.linspace(config.warmup, record.horizon, config.num_batches + 1)
+        edges = np.linspace(config.warmup, record.horizon, metrics.BATCHES + 1)
         window_power = [
             compute_ap(record.timelines, config.power, float(edges[k]), float(edges[k + 1]))
             .total_w / config.num_servers
-            for k in range(config.num_batches)
+            for k in range(metrics.BATCHES)
         ]
         assert summarize(record).power_ci_halfwidth == \
             metrics._t_halfwidth(np.array(window_power))
