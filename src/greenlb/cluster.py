@@ -14,12 +14,21 @@ Each server owns an unbounded FIFO queue, serves one request at a time
 * Wakeup: the fixed-duration transition back to On, entered from Sleep on
   arrival or straight after a Suspend with a queued request.
 
-Transitions are communicated to the event loop as :class:`Scheduled` items;
-armed timeouts are cancelled lazily via a per-server token.
+:class:`Cluster` is the reference step model of these rules: one handler
+per event, each returning the transitions it schedules as
+:class:`Scheduled` items, with armed timeouts cancelled lazily via a
+per-server token.  :func:`greenlb.engine.simulate` runs the same rules
+inline over flat per-server lists, for speed, and does not use this class.
+It stays because the tests drive it by hand and compare ``simulate``
+against a reference loop over its handlers (the role
+:func:`~greenlb.policy.select_server` plays for the pick), and because the
+benchmark's traced run builds a ``Cluster`` and wraps its handlers.
 
 The cluster keeps the run's requests in a :class:`RequestLog`: one row per
 arrival, appended when the request is assigned, with its completion time
 written when its service ends.  Queues hold row indices, not objects.
+:class:`PowerModel`, :class:`RequestLog` and :func:`server_snapshot` are
+shared with the engine.
 """
 
 from __future__ import annotations
@@ -63,7 +72,7 @@ class RequestLog(Sequence):
     """A run's requests as three columns, in arrival order.
 
     ``arrival`` and ``completion`` are ``array('d')`` of times and ``server``
-    an ``array('l')`` of server ids.  NaN in ``completion`` means "not
+    an ``array('i')`` of server ids.  NaN in ``completion`` means "not
     completed" and -1 in ``server`` "not assigned".  As a read-only sequence
     its items are :class:`Request` objects built on demand, with those
     markers read back as ``None``.
@@ -73,7 +82,7 @@ class RequestLog(Sequence):
 
     def __init__(self, arrival=(), server=(), completion=()):
         self.arrival = array("d", arrival)
-        self.server = array("l", server)
+        self.server = array("i", server)
         self.completion = array("d", completion)
 
     @classmethod

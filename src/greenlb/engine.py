@@ -24,16 +24,22 @@ mode never perturbs the workload.  Both are drawn in blocks
 order, so results are the same as with one ``Generator.random()`` per draw.
 The policy substream feeds both the ``random`` leaves and the tie fractions.
 
-The loop itself is flat: heap entries are ``(time, kind, seq, server,
-token)`` tuples, each cluster handler is bound once per run, and the
-:class:`Scheduled` tuples a handler returns are unpacked straight into heap
-pushes.
+The loop itself is flat.  It runs the power-state machine of
+:mod:`greenlb.cluster` inline, over per-server lists of power state, queued
+rows, the row in service, timeout token and timeline, so no handler is
+called and no :class:`~greenlb.events.Scheduled` item is built per event.
+:class:`~greenlb.cluster.Cluster` states the same five transition rules one
+handler at a time; it is the reference step model the tests compare this
+loop against.  Timer and completion events wait on a heap of ``(time, kind,
+seq, server, token)`` tuples.  The next arrival waits in a local variable
+instead, and runs once no heap event is due at or before its time: that
+comparison is where an arrival ranks last at equal time.
 
-No object is built per request.  The cluster's arrival handler appends the
-request to a :class:`~greenlb.cluster.RequestLog`, three flat columns of
-arrival time, assigned server and completion time, and the servers' queues
-hold row indices.  The log is the record's ``requests``; it also reads as a
-sequence of :class:`~greenlb.cluster.Request` objects built on demand.
+No object is built per request.  An arrival appends its row straight to a
+:class:`~greenlb.cluster.RequestLog`, three flat columns of arrival time,
+assigned server and completion time, and the servers' queues hold row
+indices.  The log is the record's ``requests``; it also reads as a sequence
+of :class:`~greenlb.cluster.Request` objects built on demand.
 """
 
 from __future__ import annotations
@@ -43,13 +49,14 @@ import heapq
 import itertools
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .cluster import Cluster, PowerModel, Request, server_snapshot
+from .cluster import ClusterInvariantError, PowerModel, Request, RequestLog, server_snapshot
 from .events import EventKind
 from .policy import (
     EvaluationError,
@@ -82,8 +89,10 @@ __all__ = [
 log = logging.getLogger("greenlb")
 
 _SERVICE_COMPLETE = int(EventKind.SERVICE_COMPLETE)
+_SUSPEND_DONE = int(EventKind.SUSPEND_DONE)
+_WAKEUP_DONE = int(EventKind.WAKEUP_DONE)
 _TIMEOUT = int(EventKind.TIMEOUT)
-_ARRIVAL = int(EventKind.ARRIVAL)
+_EVENT_NAMES = [kind.name.lower() for kind in sorted(EventKind)]  # trace names by kind
 _BLOCK = 1024  # values fetched per refill of a UniformBlocks
 
 
@@ -205,18 +214,28 @@ def simulate(config: SimConfig, trace_path: str | Path | None = None) -> Simulat
     arrival_rng = UniformBlocks(np.random.default_rng(arrival_ss))
     policy_rng = UniformBlocks(np.random.default_rng(policy_ss))
 
-    cluster = Cluster(config.num_servers, config.power, config.service_time,
-                      config.initial_state)
-    servers = cluster.servers
     n = config.num_servers
-    rate = config.arrival_rate
+    rate, service_time = config.arrival_rate, config.service_time
     power, design_params = config.power, config.design_params
+    t_suspend, t_wakeup, timeout = power.t_suspend, power.t_wakeup, power.timeout
+    arms_timeouts = not math.isinf(timeout)
     interarrival = generate_interarrival
-    assign = cluster.on_request_assigned
-    on_timeout = cluster.on_timeout
-    # handlers indexed by kind, for the kinds before TIMEOUT (see EventKind)
-    handlers = (cluster.on_service_complete, cluster.on_suspend_done,
-                cluster.on_wakeup_done)
+    ON, SUSPEND, SLEEP, WAKEUP = (PowerState.ON, PowerState.SUSPEND, PowerState.SLEEP,
+                                  PowerState.WAKEUP)
+
+    # Per-server state, indexed by server id (the fields of cluster.Server).
+    # A server's queue size is len(queues[i]) + (busy[i] >= 0).  Servers that
+    # start On and idle begin a timeout, which bumps their token.
+    starts_on = config.initial_state is ON
+    state = [config.initial_state] * n
+    queues = [deque() for _ in range(n)]  # queued row indices, FIFO
+    busy = [-1] * n  # the row in service, or -1
+    tokens = [int(starts_on)] * n  # a timeout fires only if its token is still the server's
+    timelines = [[(0.0, config.initial_state)] for _ in range(n)]
+    requests = RequestLog()
+    arrival_append, server_append = requests.arrival.append, requests.server.append
+    completion = requests.completion
+    completion_append = completion.append
 
     # Policy values per server, valid for every server not in ``dirty``.
     scores = [0.0] * n
@@ -228,28 +247,28 @@ def simulate(config: SimConfig, trace_path: str | Path | None = None) -> Simulat
                        if config.nd is NdResolution.FIXED_ORDER else None)
 
     def score(i: int) -> float:
-        s = servers[i]
-        snapshot = server_snapshot(i, n, s.queue_size, s.power_state, power, design_params)
+        snapshot = server_snapshot(i, n, len(queues[i]) + (busy[i] >= 0), state[i], power,
+                                   design_params)
         return evaluate(config.policy, snapshot, policy_rng)
 
     # injection bounds; inf where the stop criterion leaves one open
+    inf, nan = math.inf, math.nan
     max_req, max_vt = config.stop.max_requests, config.stop.max_virtual_time
-    request_cap = math.inf if max_req is None else max_req
-    time_cap = math.inf if max_vt is None else max_vt
+    request_cap = inf if max_req is None else max_req
+    time_cap = inf if max_vt is None else max_vt
 
-    heap: list[tuple] = [(t, kind, seq, server, token) for seq, (kind, server, t, token)
-                         in enumerate(cluster.start(0.0))]
-    heapq.heapify(heap)
+    # Heap entries are (time, kind, seq, server, token); this list is sorted, so a heap.
+    heap = ([(timeout, _TIMEOUT, i, i, 1) for i in range(n)]
+            if starts_on and arms_timeouts else [])
     seq = len(heap)
-    t0 = interarrival(arrival_rng, rate)
-    arrival_pending = 0 < request_cap and t0 <= time_cap
-    if arrival_pending:
-        heapq.heappush(heap, (t0, _ARRIVAL, seq, -1, 0))
-        seq += 1
+    # The next arrival's time, or inf once injection has stopped.
+    t_arr = interarrival(arrival_rng, rate)
+    if not (0 < request_cap and t_arr <= time_cap):
+        t_arr = inf
 
     counts = [0] * n
     injected = completed = 0
-    clock = 0.0
+    time = 0.0
 
     trace_file = open(trace_path, "w", newline="") if trace_path is not None else None
     trace = csv.writer(trace_file) if trace_file is not None else None
@@ -257,17 +276,85 @@ def simulate(config: SimConfig, trace_path: str | Path | None = None) -> Simulat
         trace.writerow(["time", "server", "event", "power_state", "queue_size"])
 
     def trace_row(time: float, server_id: int, event: str) -> None:
-        s = servers[server_id]
-        trace.writerow([repr(time), server_id, event, s.power_state.value, s.queue_size])
+        trace.writerow([repr(time), server_id, event, state[server_id].value,
+                        len(queues[server_id]) + (busy[server_id] >= 0)])
 
     heappush, heappop = heapq.heappush, heapq.heappop
     dirty_add, memo_get = dirty.add, memo.get
     take = policy_rng.take
     try:
-        while heap:
-            time, kind, _, sid, token = heappop(heap)
-            clock = time
-            if kind == _ARRIVAL:
+        while True:
+            # An arrival ranks last at equal time (see EventKind): every heap
+            # event at or before t_arr runs before it.
+            if heap and heap[0][0] <= t_arr:
+                time, kind, _, sid, token = heappop(heap)
+                if kind == _SERVICE_COMPLETE:
+                    row = busy[sid]
+                    if row < 0:
+                        raise ClusterInvariantError(f"server {sid}: completion while idle")
+                    completion[row] = time
+                    queue = queues[sid]
+                    if queue:
+                        if state[sid] is not ON:
+                            raise ClusterInvariantError(f"server {sid}: serving while not on")
+                        busy[sid] = queue.popleft()
+                        heappush(heap, (time + service_time, _SERVICE_COMPLETE, seq, sid, 0))
+                        seq += 1
+                    else:
+                        busy[sid] = -1
+                        tokens[sid] = token = tokens[sid] + 1
+                        if arms_timeouts:
+                            heappush(heap, (time + timeout, _TIMEOUT, seq, sid, token))
+                            seq += 1
+                    completed += 1
+                elif kind == _TIMEOUT:
+                    if token != tokens[sid]:
+                        continue  # cancelled by an arrival or a service start
+                    if state[sid] is not ON or busy[sid] >= 0 or queues[sid]:
+                        raise ClusterInvariantError(
+                            f"server {sid}: timeout fired while not idle-on")
+                    state[sid] = SUSPEND
+                    timelines[sid].append((time, SUSPEND))
+                    heappush(heap, (time + t_suspend, _SUSPEND_DONE, seq, sid, 0))
+                    seq += 1
+                elif kind == _SUSPEND_DONE:
+                    if state[sid] is not SUSPEND:
+                        raise ClusterInvariantError(
+                            f"server {sid}: suspend-done while not suspending")
+                    if queues[sid]:  # a request arrived meanwhile: wake straight away
+                        state[sid] = WAKEUP
+                        timelines[sid].append((time, WAKEUP))
+                        heappush(heap, (time + t_wakeup, _WAKEUP_DONE, seq, sid, 0))
+                        seq += 1
+                    else:
+                        state[sid] = SLEEP
+                        timelines[sid].append((time, SLEEP))
+                else:  # _WAKEUP_DONE
+                    if state[sid] is not WAKEUP:
+                        raise ClusterInvariantError(
+                            f"server {sid}: wakeup-done while not waking")
+                    state[sid] = ON
+                    timelines[sid].append((time, ON))
+                    queue = queues[sid]
+                    if queue:
+                        busy[sid] = queue.popleft()
+                        heappush(heap, (time + service_time, _SERVICE_COMPLETE, seq, sid, 0))
+                        seq += 1
+                    else:
+                        tokens[sid] = token = tokens[sid] + 1
+                        if arms_timeouts:
+                            heappush(heap, (time + timeout, _TIMEOUT, seq, sid, token))
+                            seq += 1
+                dirty_add(sid)
+                if trace is not None:
+                    trace_row(time, sid, _EVENT_NAMES[kind])
+                # max_requests-only runs end at the last completion; leftover
+                # timer events would only move servers towards sleep.
+                if (kind == _SERVICE_COMPLETE and completed == injected
+                        and t_arr == inf and max_vt is None):
+                    break
+            elif t_arr < inf:
+                time = t_arr
                 # Score the servers whose state changed, in ascending id, then
                 # break ties.  A (server id, queue size, power state) seen
                 # before in this run takes its value from ``memo``: a policy
@@ -279,9 +366,8 @@ def simulate(config: SimConfig, trace_path: str | Path | None = None) -> Simulat
                             scores[i] = score(i)
                     else:
                         for i in (dirty if len(dirty) == 1 else sorted(dirty)):
-                            s = servers[i]
                             # the state's value, so the lookup runs no Enum.__hash__
-                            key = (i, s.queue_size, s.power_state._value_)
+                            key = (i, len(queues[i]) + (busy[i] >= 0), state[i]._value_)
                             value = memo_get(key)
                             if value is None:
                                 value = memo[key] = score(i)
@@ -293,48 +379,46 @@ def simulate(config: SimConfig, trace_path: str | Path | None = None) -> Simulat
                 dirty.clear()
                 target = break_ties(scores, take(n) if fixed_fractions is None
                                     else fixed_fractions)
+                row = injected
                 injected += 1
                 counts[target] += 1
-                for k, server, t, tok in assign(target, time):
-                    heappush(heap, (t, k, seq, server, tok))
-                    seq += 1
+                arrival_append(time)
+                server_append(target)
+                completion_append(nan)
+                target_state = state[target]
+                if target_state is ON:
+                    if busy[target] < 0:
+                        tokens[target] += 1  # cancel the armed idle timeout
+                        busy[target] = row
+                        heappush(heap, (time + service_time, _SERVICE_COMPLETE, seq, target, 0))
+                        seq += 1
+                    else:
+                        queues[target].append(row)
+                else:
+                    queues[target].append(row)
+                    if target_state is SLEEP:
+                        state[target] = WAKEUP
+                        timelines[target].append((time, WAKEUP))
+                        heappush(heap, (time + t_wakeup, _WAKEUP_DONE, seq, target, 0))
+                        seq += 1
+                    # Suspend or Wakeup in progress: the request just queues
                 dirty_add(target)
                 if trace is not None:
                     trace_row(time, target, "arrival")
-                t_next = time + interarrival(arrival_rng, rate)
-                arrival_pending = injected < request_cap and t_next <= time_cap
-                if arrival_pending:
-                    heappush(heap, (t_next, _ARRIVAL, seq, -1, 0))
-                    seq += 1
-                continue
-            if kind == _TIMEOUT:
-                if token != servers[sid].timeout_token:
-                    continue  # cancelled by an arrival or a service start
-                scheduled = on_timeout(sid, time, token)
+                t_arr = time + interarrival(arrival_rng, rate)
+                if not (injected < request_cap and t_arr <= time_cap):
+                    t_arr = inf
             else:
-                scheduled = handlers[kind](sid, time)
-            for k, server, t, tok in scheduled:
-                heappush(heap, (t, k, seq, server, tok))
-                seq += 1
-            dirty_add(sid)
-            if trace is not None:
-                trace_row(time, sid, kind.name.lower())
-            if kind == _SERVICE_COMPLETE:
-                completed += 1
-                # max_requests-only runs end at the last completion; leftover
-                # timer events would only move servers towards sleep.
-                if completed == injected and not arrival_pending and max_vt is None:
-                    break
+                break
     finally:
         if trace_file is not None:
             trace_file.close()
 
-    horizon = max_vt if max_vt is not None else clock
     return SimulationRecord(
         config=config,
-        requests=cluster.requests,
-        timelines=cluster.timelines(),
-        horizon=horizon,
+        requests=requests,
+        timelines=timelines,
+        horizon=max_vt if max_vt is not None else time,
         assignment_counts=counts,
     )
 

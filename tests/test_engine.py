@@ -1,6 +1,7 @@
 """Event-loop tests: arrivals, ordering, stop criteria, determinism."""
 
 import csv
+import itertools
 import logging
 import math
 import tempfile
@@ -35,8 +36,9 @@ from greenlb.policy import (
     parse_policy,
     select_server,
 )
+from greenlb.validation import replay_oracle
 
-from helpers import assert_timeline_wellformed
+from helpers import assert_timeline_wellformed, reference_simulate
 from test_policy_properties import ASTS
 
 
@@ -147,6 +149,32 @@ class TestEventOrdering:
             EventKind.TIMEOUT,
             EventKind.ARRIVAL,
         ]
+
+    def test_arrivals_at_a_completion_an_idle_end_and_a_suspend_end(self, monkeypatch):
+        # Arrivals at 1, 12, 33 and 54 on one server that starts On, TO = 10.
+        # 12 ends the idle window opened at 2: the server is already suspending.
+        # 33 is when the queued request's service ends: it completes first.
+        # 54 ends the suspend entered at 44: the server is already asleep.
+        gaps = iter([1.0, 11.0, 21.0, 21.0, 1e9])
+        monkeypatch.setattr(greenlb.engine, "generate_interarrival",
+                            lambda rng, rate: next(gaps))
+        cfg = config(num_servers=1, arrival_rate=0.5, policy=parse_policy("0"),
+                     design_params={}, power=PowerModel(timeout=10.0),
+                     initial_state=PowerState.ON, stop=StopCriterion(max_requests=4))
+        record = simulate(cfg)
+        requests = record.requests
+        assert list(requests.arrival) == [1.0, 12.0, 33.0, 54.0]
+        assert list(requests.completion) == [2.0, 33.0, 34.0, 65.0]
+        on, suspend, sleep, wakeup = (PowerState.ON, PowerState.SUSPEND, PowerState.SLEEP,
+                                      PowerState.WAKEUP)
+        assert record.timelines == [[
+            (0.0, on), (12.0, suspend), (22.0, wakeup), (32.0, on),
+            (44.0, suspend), (54.0, sleep), (54.0, wakeup), (64.0, on),
+        ]]
+        oracle = replay_oracle(requests.arrival, requests.server, 1, cfg.power,
+                               cfg.service_time, cfg.initial_state)
+        assert oracle.latencies == [1.0, 21.0, 1.0, 11.0]
+        assert oracle.latencies == [c - a for a, c in zip(requests.arrival, requests.completion)]
 
 
 class TestRun:
@@ -433,6 +461,32 @@ class TestSelection:
         assert set(built) <= seen
 
 
+REFERENCE_POLICIES = [p for p in DIFFERENTIAL_POLICIES if p != "timeOutTime mod 3"]
+
+
+class TestReferenceModels:
+    """The inline loop equals a loop over ``Cluster`` handlers and ``select_server``."""
+
+    @pytest.mark.parametrize("initial_state", [PowerState.SLEEP, PowerState.ON])
+    @pytest.mark.parametrize("nd", list(NdResolution))
+    @pytest.mark.parametrize("policy", REFERENCE_POLICIES)
+    def test_simulate_equals_reference_loop(self, policy, nd, initial_state):
+        for timeout, stop in itertools.product(
+                [1.0, 10.0, math.inf],
+                [StopCriterion(max_requests=300), StopCriterion(max_virtual_time=200.0)]):
+            cfg = config(policy=parse_policy(policy), nd=nd, initial_state=initial_state,
+                         power=PowerModel(timeout=timeout), arrival_rate=1.5, stop=stop,
+                         seed=11)
+            got, want = simulate(cfg), reference_simulate(cfg)
+            where = f"timeout {timeout}, {stop}"
+            for column in ("arrival", "server", "completion"):
+                assert (getattr(got.requests, column).tolist()
+                        == getattr(want.requests, column).tolist()), f"{column}, {where}"
+            assert got.timelines == want.timelines, where
+            assert repr(got.horizon) == repr(want.horizon), where
+            assert got.assignment_counts == want.assignment_counts, where
+
+
 class TestOverloadWarning:
     def test_overloaded_run_logs_one_warning(self, caplog):
         cfg = config(num_servers=2, arrival_rate=2.0, stop=StopCriterion(max_requests=50))
@@ -449,8 +503,9 @@ class TestOverloadWarning:
 
 
 class TestMemory:
-    # Peak bytes traced per request over simulate + summarize.  Three 8-byte
-    # columns take 24; one Request object kept per arrival took about 200.
+    # Peak bytes traced per request over simulate + summarize.  Two 8-byte
+    # columns and a 4-byte one take 20; one Request object kept per arrival
+    # took about 200.
     BOUND_BYTES_PER_REQUEST = 64
 
     def test_long_run_peak_is_a_few_columns_per_request(self):
